@@ -12,7 +12,10 @@ Two estimators produce the table:
   (input, output) pairs.  Work is split into fixed-size chunks with
   independently derived seeds, so results are bit-identical for any
   worker count and any larger sample budget extends a smaller one
-  chunk by chunk.
+  chunk by chunk.  A chunk uses ``np.convolve``, elementwise sums and
+  ``np.bincount`` rather than matrix products, so it wakes no BLAS
+  threads: neither results nor speed depend on BLAS thread settings, and
+  ``workers`` is the only parallelism setting.
 
 * :func:`enumerate_exact` enumerates all symbol windows and integrates
   the noise analytically.  With uncorrelated samples the orthant
@@ -171,13 +174,21 @@ def _chunk_counts(ch: DiscreteChannel, chol: np.ndarray, cdf: np.ndarray,
     m = ch.oversampling
     idx = np.searchsorted(cdf, rng.random(n + ch.memory), side="right")
     symbols = ch.alphabet.levels[idx]
-    windows = np.lib.stride_tricks.sliding_window_view(symbols, ch.memory + 1)
-    z = windows @ ch.A.T + rng.standard_normal((n, m)) @ chol.T
-    y = (z >= 0.0) @ (1 << np.arange(m))
-    center = idx[ch.memory // 2:ch.memory // 2 + n]
-    counts = np.zeros((ch.alphabet.size, ch.n_outputs), dtype=np.int64)
-    np.add.at(counts, (center, y), 1)
-    return counts
+    # Row j holds draw j of every interval, contiguous for the sums below.
+    white = rng.standard_normal((n, m)).T.copy()
+    # Flat (center symbol, sign pattern) code; sample k sets bit k.
+    codes = idx[ch.memory // 2:ch.memory // 2 + n] << m
+    # Sample k: row k of the lower-triangular factor colours the white
+    # draws, and convolving with the reversed row k of A correlates it
+    # with the symbol window.
+    for k in range(m):
+        noise = chol[k, 0] * white[0]
+        for j in range(1, k + 1):
+            noise += chol[k, j] * white[j]
+        z = np.convolve(symbols, ch.A[k, ::-1], mode="valid") + noise
+        codes |= (z >= 0.0) << k
+    counts = np.bincount(codes, minlength=ch.alphabet.size << m)
+    return counts.reshape(ch.alphabet.size, ch.n_outputs)
 
 
 def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
@@ -187,7 +198,9 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
     Intervals are simulated in fixed chunks of ``CHUNK_SAMPLES``; chunk i
     derives its generator from (seed, i) alone and counts merge by integer
     addition, so the result does not depend on ``workers`` and extending
-    ``samples`` only appends chunks.
+    ``samples`` only appends chunks.  Chunks use no matrix products and so
+    wake no BLAS threads: the ``workers`` threads, each running one chunk
+    at a time, are the only parallelism.
     """
     if samples < 1:
         raise ValueError("sample count must be positive")
@@ -201,19 +214,15 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
     pooled = np.zeros((ch.alphabet.size, ch.n_outputs), dtype=np.int64)
     groups = np.zeros((N_GROUPS,) + pooled.shape, dtype=np.int64)
 
-    def run(i: int) -> tuple[int, np.ndarray]:
-        return i, _chunk_counts(ch, chol, cdf, sizes[i], seed, i)
+    def run(i: int) -> np.ndarray:
+        return _chunk_counts(ch, chol, cdf, sizes[i], seed, i)
 
-    if workers == 1:
-        results = map(run, range(len(sizes)))
-        for i, counts in results:
+    # The pool starts no thread until used, so one worker stays serial.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mapper = map if workers == 1 else pool.map
+        for i, counts in enumerate(mapper(run, range(len(sizes)))):
             pooled += counts
             groups[i % N_GROUPS] += counts
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, counts in pool.map(run, range(len(sizes))):
-                pooled += counts
-                groups[i % N_GROUPS] += counts
 
     row_n = pooled.sum(axis=1, keepdims=True)
     probs = np.divide(pooled, row_n, out=np.zeros(pooled.shape),

@@ -2,7 +2,8 @@
 
 Groups:
  1. DMC mutual information against frozen closed-form values and
-    structural properties (data processing, validation).
+    structural properties (entropy identity, data processing,
+    validation).
  2. Channel-level invariances: joint amplitude scaling is exact, rates
     grow with SNR.
  3. End-to-end rate evaluation: both estimators, error bars, the
@@ -78,6 +79,29 @@ def test_mi_never_grows_under_output_merging():
         merged = np.column_stack([probs[:, :4], probs[:, 4] + probs[:, 5]])
         assert (dmc_mutual_information(merged, priors)
                 <= dmc_mutual_information(probs, priors) + 1e-12)
+
+
+def _entropy(p):
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def test_mi_equals_entropy_difference():
+    # I(X; Y) = H(Y) - H(Y | X), on random tables with some zero entries
+    # so the p = 0 convention is exercised as well.
+    rng = np.random.default_rng(7)
+    for n_in, n_out in [(2, 2), (4, 16), (8, 4), (3, 7)]:
+        for _ in range(5):
+            probs = rng.random((n_in, n_out))
+            probs[rng.random(probs.shape) < 0.3] = 0.0
+            probs[:, 0] += 1e-3
+            probs /= probs.sum(axis=1, keepdims=True)
+            priors = rng.dirichlet(np.ones(n_in))
+            h_out = _entropy(priors @ probs)
+            h_out_given_in = sum(p * _entropy(row)
+                                 for p, row in zip(priors, probs))
+            info = dmc_mutual_information(probs, priors)
+            assert abs((h_out - h_out_given_in) - info) < 1e-12
 
 
 def test_mi_validates_inputs():

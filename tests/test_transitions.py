@@ -22,6 +22,7 @@ from signrate.channel import assemble, component_alphabet, flip_index, from_taps
 from signrate.errors import BudgetExceededError, CorrelatedNoiseError
 from signrate.pulses import ROOT_RAISED_COSINE, PulseSpec, delta_taps
 from signrate.transitions import (
+    CHUNK_SAMPLES,
     TransitionTable,
     component_cholesky,
     enumerate_exact,
@@ -145,6 +146,37 @@ def test_mc_is_deterministic_across_workers():
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.group_counts, b.group_counts)
     assert np.array_equal(a.probs, b.probs)
+
+
+# Literal counts at seed 2024.  They pin the random stream, the order of
+# its draws and the chunk arithmetic: a kernel change that moves any
+# count, even by float rounding at a sign boundary, fails here.
+PINNED_COUNTS = {
+    4: [[11942, 0, 0, 0, 0, 0, 0, 0, 4764, 0, 0, 0, 2647, 0, 0, 0],
+        [10363, 0, 0, 0, 120, 0, 18, 0, 1878, 0, 0, 0, 4111, 0, 3041, 0],
+        [0, 2967, 0, 4142, 0, 0, 0, 1931, 0, 25, 0, 120, 0, 1, 0, 10251],
+        [0, 0, 0, 2572, 0, 0, 0, 4758, 0, 0, 0, 0, 0, 0, 0, 12230]],
+    1: [[19353, 0], [18011, 1520], [1526, 17911], [0, 19560]],
+}
+
+
+@pytest.mark.parametrize("m, snr_db", [(4, 25.0), (1, 10.0)])
+def test_mc_counts_pinned_on_correlated_noise(m, snr_db):
+    # rrc with M = 4 has correlated sample noise; the budget ends in a
+    # partial chunk.
+    ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22, oversampling=m),
+                  "16qam", snr_db=snr_db)
+    off_diagonal = ch.R_component - np.diag(np.diag(ch.R_component))
+    assert m == 1 or np.max(np.abs(off_diagonal)) > 1e-3
+    samples = CHUNK_SAMPLES + 12345
+    tables = [mc_estimate(ch, samples=samples, seed=2024, workers=w)
+              for w in (1, 2, 3)]
+    assert tables[0].counts.tolist() == PINNED_COUNTS[m]
+    assert tables[0].group_counts.sum(axis=(1, 2)).tolist() == (
+        [CHUNK_SAMPLES, 12345] + [0] * 8)
+    for other in tables[1:]:
+        assert np.array_equal(other.counts, tables[0].counts)
+        assert np.array_equal(other.group_counts, tables[0].group_counts)
 
 
 def test_mc_chunks_extend_across_budgets():
