@@ -39,7 +39,8 @@ print(f"difference:  {abs(mc.rate_bpcu - exact.rate_bpcu) / mc.stderr:.2f} "
 
 # -- Refusals instead of silent degradation ----------------------------------------
 #
-# Exact enumeration integrates over the noise correlation and is only
+# Exact enumeration integrates over the noise correlation with fixed
+# Gauss-Legendre rules, checked against a coarser rule, and is only
 # implemented up to three samples per interval; beyond that the library
 # refuses loudly rather than approximating.
 

@@ -62,9 +62,7 @@ from .sweeps import (
 from .transitions import (
     TransitionTable,
     enumerate_exact,
-    export_table_csv,
     mc_estimate,
-    output_marginal,
 )
 
 __version__ = "0.1.0"
@@ -99,14 +97,12 @@ __all__ = [
     "dmc_mutual_information",
     "enumerate_exact",
     "estimate_3db_bandwidth",
-    "export_table_csv",
     "find_optimum",
     "from_taps",
     "load_sweep_csv",
     "matched_combine",
     "mc_estimate",
     "merge_sweeps",
-    "output_marginal",
     "quantize_1bit",
     "rate_for_config",
     "rate_from_table",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 
 from .channel import component_alphabet
 from .pulses import PulseSpec
@@ -44,6 +45,17 @@ class RunConfig:
     schema_version: int = 1
 
     def __post_init__(self):
+        # JSON may spell an integer as 4.0; store it as 4 so equal
+        # configurations compare, hash and serialize alike.
+        for name in ("oversampling", "span_symbols", "samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {value!r}") from None
         # Pulse parameter validation lives in PulseSpec; building one
         # here surfaces those errors at configuration time.
         self.pulse_spec()

@@ -20,7 +20,12 @@ class CorrelatedNoiseError(RefusalError):
 
 
 class QuadratureToleranceError(RuntimeError):
-    """Adaptive integration stopped short of the requested tolerance."""
+    """Exact enumeration could not certify its quadrature to the tolerance.
+
+    ``achieved`` is the largest difference between the tables computed
+    at two node counts, or the largest deviation of a window's or
+    a table row's probabilities from a sum of one.
+    """
 
     def __init__(self, achieved: float, requested: float):
         self.achieved = float(achieved)

@@ -19,12 +19,12 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import ndtr
 
 from .channel import DiscreteChannel, assemble
 from .config import RunConfig
 from .errors import BudgetExceededError, CorrelatedNoiseError
-from .transitions import TransitionTable, enumerate_exact, mc_estimate
+from .transitions import (TransitionTable, _orthant_table, enumerate_exact,
+                          mc_estimate)
 
 __all__ = [
     "BoundReport",
@@ -188,14 +188,9 @@ def block_entropy_bound(ch: DiscreteChannel, n_intervals: int, *,
     digits = np.stack(np.unravel_index(
         np.arange(n_x), (n_levels,) * n_intervals), axis=1)
     p_x = np.prod(alpha.priors[digits], axis=1)
-    t = (alpha.levels[digits] @ block_op.T) / sigma_c
-    p_plus = ndtr(t)
-    p_minus = ndtr(-t)
-    cond = np.ones((n_x, n_y))
+    cond = _orthant_table(alpha.levels[digits] @ block_op.T,
+                          sigma_c * np.eye(n_samples))
     y_bits = np.arange(n_y)
-    for s in range(n_samples):
-        bit = (y_bits >> s) & 1
-        cond *= np.where(bit, p_plus[:, s:s + 1], p_minus[:, s:s + 1])
 
     joint = p_x[:, None] * cond
     p_y = joint.sum(axis=0)

@@ -17,11 +17,13 @@ Two estimators produce the table:
   threads: neither results nor speed depend on BLAS thread settings, and
   ``workers`` is the only parallelism setting.
 
-* :func:`enumerate_exact` enumerates all symbol windows and integrates
-  the noise analytically.  With uncorrelated samples the orthant
-  probabilities factor into normal CDF products; correlated samples are
-  handled by iterated one-dimensional quadrature up to M = 3 and refused
-  beyond that.
+* :func:`enumerate_exact` enumerates all symbol windows and sums their
+  Gaussian orthant probabilities, all from one vectorized kernel.  A
+  sample whose noise no later sample shares contributes a normal CDF
+  factor, so uncorrelated samples need no quadrature; correlated leading
+  samples are integrated with fixed Gauss-Legendre rules, and the table
+  is accepted only if a second, coarser rule reproduces it.  Correlated
+  noise is supported up to M = 3 and refused beyond that.
 
 Both estimators exploit the sign symmetry of the model: negating the
 symbol window flips every output bit, so tables satisfy
@@ -33,10 +35,8 @@ from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .channel import DiscreteChannel, flip_index
@@ -48,9 +48,7 @@ __all__ = [
     "TransitionTable",
     "component_cholesky",
     "enumerate_exact",
-    "export_table_csv",
     "mc_estimate",
-    "output_marginal",
 ]
 
 # One simulation chunk; chunk boundaries never move so a larger sample
@@ -67,6 +65,15 @@ ENUM_BUDGET = 1 << 26
 _TAIL_SIGMAS = 8.5
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+
+# Gauss-Legendre rules on [-1, 1], mapped onto each quadrature interval:
+# tables use the first, and their difference from the second bounds the
+# quadrature error.
+_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(64)
+_GAUSS_LEGENDRE_CHECK = np.polynomial.legendre.leggauss(48)
+
+# Rows of the kernel's innermost arrays per window chunk.
+_KERNEL_ROWS = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,16 +111,6 @@ class TransitionTable:
     def n_outputs(self) -> int:
         return self.probs.shape[1]
 
-    @property
-    def stderr_max(self) -> float:
-        """Largest binomial standard error over entries; zero if exact."""
-        if self.counts is None:
-            return 0.0
-        row_n = self.counts.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            se = np.sqrt(self.probs * (1.0 - self.probs) / row_n)
-        return float(np.nanmax(se, initial=0.0))
-
     def group_probs(self) -> np.ndarray:
         """Row-normalized tables of the interleaved chunk groups."""
         if self.group_counts is None:
@@ -122,26 +119,6 @@ class TransitionTable:
         row_n = counts.sum(axis=2, keepdims=True)
         return np.divide(counts, row_n, out=np.zeros_like(counts),
                          where=row_n > 0)
-
-
-def output_marginal(table: TransitionTable, priors: np.ndarray) -> np.ndarray:
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (table.n_inputs,):
-        raise ValueError("priors must match the table input count")
-    return priors @ table.probs
-
-
-def export_table_csv(table: TransitionTable, destination) -> None:
-    """Write the table in long form: input index, output index, probability."""
-    lines = ["input,output,probability"]
-    for i in range(table.n_inputs):
-        for y in range(table.n_outputs):
-            lines.append(f"{i},{y},{format(table.probs[i, y], '.17g')}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
 
 
 def component_cholesky(ch: DiscreteChannel) -> np.ndarray:
@@ -234,68 +211,49 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
 # -- Exact enumeration ----------------------------------------------------------
 
 
-def _is_diagonal(mat: np.ndarray) -> bool:
-    return np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
+def _orthant_table(means: np.ndarray, chol: np.ndarray,
+                   nodes: tuple = _GAUSS_LEGENDRE) -> np.ndarray:
+    """P(sign pattern y) of ``means[r] + chol @ w`` for every row r.
 
-
-def _orthant_recursive(mu: np.ndarray, chol: np.ndarray) -> float:
-    """P(mu + C w >= 0) for standard normal w, by iterated quadrature."""
-    if mu.size == 1:
-        return float(ndtr(mu[0] / abs(chol[0, 0])))
-    bound = -mu[0] / chol[0, 0]
-    if chol[0, 0] > 0.0:
-        lo, hi = max(bound, -_TAIL_SIGMAS), _TAIL_SIGMAS
-    else:
-        lo, hi = -_TAIL_SIGMAS, min(bound, _TAIL_SIGMAS)
-    if lo >= hi:
-        return 0.0
-    tail_mu = mu[1:]
-    tail_col = chol[1:, 0]
-    tail_chol = chol[1:, 1:]
-
-    def integrand(w: float) -> float:
-        density = np.exp(-0.5 * w * w) / _SQRT_2PI
-        return density * _orthant_recursive(tail_mu + tail_col * w, tail_chol)
-
-    value, _ = quad(integrand, lo, hi, epsabs=1e-8, epsrel=1e-8, limit=200)
-    return value
-
-
-def _orthant_set(mu: np.ndarray, chol: np.ndarray, tol: float) -> np.ndarray:
-    """All 2^M orthant probabilities for one window, renormalized to 1.
-
-    Sign patterns are folded into the mean and factor before integrating,
-    so a pattern and its negation evaluate the same integrals with the
-    inputs negated exactly.
+    ``w`` is standard normal and ``chol`` lower triangular with a
+    positive diagonal; bit j of y is set when sample j is nonnegative.
+    The first sample contributes a normal CDF factor when no later sample
+    shares its white variable w_0.  Otherwise w_0 is integrated out: the
+    Gauss-Legendre ``nodes`` (points and weights on [-1, 1]) are mapped
+    onto each interval of [-8.5, 8.5] between the zero crossings of the
+    sample means, and weight the tables of the remaining samples, whose
+    means shift with the node.
     """
-    m = mu.size
-    out = np.empty(1 << m)
-    for y in range(1 << m):
-        signs = (2 * ((y >> np.arange(m)) & 1) - 1).astype(float)
-        out[y] = _orthant_recursive(signs * mu, signs[:, None] * chol)
-    total = out.sum()
-    if abs(total - 1.0) > tol:
-        raise QuadratureToleranceError(abs(total - 1.0), tol)
-    return out / total
-
-
-def _window_chunks(n_levels: int, length: int, chunk: int = 1 << 18):
-    n_win = n_levels ** length
-    shape = (n_levels,) * length
-    for start in range(0, n_win, chunk):
-        stop = min(start + chunk, n_win)
-        digits = np.stack(
-            np.unravel_index(np.arange(start, stop), shape), axis=1)
-        yield digits
-
-
-def _neighbor_weights(digits: np.ndarray, priors: np.ndarray,
-                      center_pos: int) -> np.ndarray:
-    w = np.ones(digits.shape[0])
-    for j in range(digits.shape[1]):
-        if j != center_pos:
-            w *= priors[digits[:, j]]
-    return w
+    n, k = means.shape
+    col = chol[1:, 0]
+    if not col.any():
+        t = means[:, 0] / chol[0, 0]
+        first = ndtr(t[:, None] * np.array([-1.0, 1.0]))
+        if k == 1:
+            return first
+        rest = _orthant_table(means[:, 1:], chol[1:, 1:], nodes)
+        return (rest[:, :, None] * first[:, None, :]).reshape(n, -1)
+    points, weights = nodes
+    # The integrand steps where a sample's mean, shifted with w_0, crosses
+    # zero.  Splitting there puts every step at an interval end, where the
+    # nodes cluster; the first sample's own crossing (column 0, as
+    # chol[0, 0] > 0) also fixes its sign bit on each interval.
+    active = np.flatnonzero(chol[:, 0])
+    cross = np.clip(-means[:, active] / chol[active, 0],
+                    -_TAIL_SIGMAS, _TAIL_SIGMAS)
+    edges = np.pad(np.sort(cross, axis=1), ((0, 0), (1, 1)),
+                   constant_values=(-_TAIL_SIGMAS, _TAIL_SIGMAS))
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    bit = lo >= cross[:, :1]
+    half = (hi - lo)[:, :, None] / 2
+    w = (hi + lo)[:, :, None] / 2 + half * points
+    density = half * weights * np.exp(-0.5 * w * w) / _SQRT_2PI
+    shifted = means[:, None, None, 1:] + w[:, :, :, None] * col
+    rest = _orthant_table(shifted.reshape(-1, k - 1), chol[1:, 1:], nodes)
+    rest = rest.reshape(w.shape + (-1,))
+    per_interval = np.einsum("nip,nipy->niy", density, rest)
+    sides = np.stack([~bit, bit], axis=2).astype(float)
+    return np.einsum("niy,nib->nyb", per_interval, sides).reshape(n, -1)
 
 
 def enumerate_exact(ch: DiscreteChannel, *, budget: int = ENUM_BUDGET,
@@ -303,11 +261,17 @@ def enumerate_exact(ch: DiscreteChannel, *, budget: int = ENUM_BUDGET,
     """Compute the transition table by exhaustive window enumeration.
 
     Cost is |X|^(L+1) windows times 2^M outputs; anything above ``budget``
-    raises :class:`BudgetExceededError`.  Correlated sample noise needs
-    numerical quadrature, supported up to M = 3; beyond that
-    :class:`CorrelatedNoiseError` asks for the Monte Carlo path instead.
-    Rows come out bitwise sign-symmetric because the upper half is a
-    mirrored copy of the lower half.
+    raises :class:`BudgetExceededError`.  Every window's orthant
+    probabilities come from one kernel: normal CDF products where sample
+    noise is uncorrelated, fixed Gauss-Legendre quadrature over the
+    correlated leading samples otherwise, supported up to M = 3; beyond
+    that :class:`CorrelatedNoiseError` asks for the Monte Carlo path
+    instead.  Each window is computed with 64 and with 48 nodes per
+    interval, and :class:`QuadratureToleranceError` is raised when the
+    two differ by more than ``tol`` or a window's probabilities miss a
+    sum of one by more than ``tol``.  Rows come out bitwise
+    sign-symmetric because the upper half is a mirrored copy of the
+    lower half.
     """
     alpha = ch.alphabet
     n_levels = alpha.size
@@ -319,48 +283,41 @@ def enumerate_exact(ch: DiscreteChannel, *, budget: int = ENUM_BUDGET,
     if required > budget:
         raise BudgetExceededError(required, budget)
 
-    rc = ch.R_component
-    diagonal = _is_diagonal(rc)
-    if not diagonal and ch.oversampling > 3:
+    m = ch.oversampling
+    chol = component_cholesky(ch)
+    # Each sample that shares its white variable with a later one is one
+    # quadrature dimension; it splits its range at up to m crossings, so
+    # it multiplies the kernel's rows by at most (m + 1) times the nodes.
+    quad_dims = sum(bool(chol[j + 1:, j].any()) for j in range(m))
+    if quad_dims and m > 3:
         raise CorrelatedNoiseError(
             "correlated sample noise is integrable only up to 3 samples "
             "per interval; use the Monte Carlo estimator")
+    rows_per_window = ((m + 1) * _GAUSS_LEGENDRE[0].size) ** quad_dims
+    chunk = max(1, _KERNEL_ROWS // rows_per_window)
 
-    # Rows for the lower half of the levels; the rest mirrors.
+    # Windows with the center in the lower half of the levels; the rest
+    # mirrors.
     n_direct = (n_levels + 1) // 2
+    shape = (n_levels,) * center_pos + (n_direct,) + (n_levels,) * (
+        length - center_pos - 1)
+    n_direct_win = n_direct * n_levels ** ch.memory
     probs = np.zeros((n_levels, n_out))
-    m = ch.oversampling
-
-    if diagonal:
-        sigma = np.sqrt(np.diag(rc))
-        bit_sets = [(np.arange(n_out) >> b) & 1 for b in range(m)]
-        for digits in _window_chunks(n_levels, length):
-            keep = digits[:, center_pos] < n_direct
-            digits = digits[keep]
-            if digits.size == 0:
-                continue
-            weights = _neighbor_weights(digits, alpha.priors, center_pos)
-            t = (alpha.levels[digits] @ ch.A.T) / sigma
-            p_plus = ndtr(t)
-            p_minus = ndtr(-t)
-            center = digits[:, center_pos]
-            for y in range(n_out):
-                p_y = np.ones(digits.shape[0])
-                for b in range(m):
-                    p_y *= p_plus[:, b] if bit_sets[b][y] else p_minus[:, b]
-                probs[:, y] += np.bincount(center, weights=weights * p_y,
-                                           minlength=n_levels)
-    else:
-        chol = component_cholesky(ch)
-        for digits in _window_chunks(n_levels, length):
-            keep = digits[:, center_pos] < n_direct
-            digits = digits[keep]
-            weights = _neighbor_weights(digits, alpha.priors, center_pos)
-            means = alpha.levels[digits] @ ch.A.T
-            center = digits[:, center_pos]
-            for row in range(digits.shape[0]):
-                probs[center[row]] += weights[row] * _orthant_set(
-                    means[row], chol, tol)
+    for start in range(0, n_direct_win, chunk):
+        flat = np.arange(start, min(start + chunk, n_direct_win))
+        digits = np.stack(np.unravel_index(flat, shape), axis=1)
+        means = alpha.levels[digits] @ ch.A.T
+        table = _orthant_table(means, chol)
+        check = _orthant_table(means, chol, _GAUSS_LEGENDRE_CHECK)
+        residual = max(float(np.abs(table - check).max()),
+                       float(np.abs(table.sum(axis=1) - 1.0).max()))
+        if residual > tol:
+            raise QuadratureToleranceError(residual, tol)
+        weights = np.prod(np.delete(alpha.priors[digits], center_pos, axis=1),
+                          axis=1)
+        codes = (digits[:, center_pos, None] * n_out + np.arange(n_out)).ravel()
+        probs += np.bincount(codes, weights=(weights[:, None] * table).ravel(),
+                             minlength=n_levels * n_out).reshape(probs.shape)
 
     flipped = flip_index(np.arange(n_out), m)
     for i in range(n_levels - n_direct):

@@ -154,6 +154,20 @@ def test_rate_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown configuration keys" in stderr
 
 
+@pytest.mark.parametrize("oversampling, code", [(2.0, 0), (2.5, 2)])
+def test_rate_config_float_oversampling(tmp_path, capsys, oversampling, code):
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps({
+        "family": "rrc", "shape": 0.22, "oversampling": oversampling,
+        "alphabet": "4qam", "snr_db": 5.0, "estimator": "enum"}))
+    got, stdout, stderr = _run(capsys, ["rate", "--config", str(cfg)])
+    assert got == code
+    if code == 0:
+        assert json.loads(stdout)["config"]["oversampling"] == 2
+    else:
+        assert "oversampling must be an integer" in stderr
+
+
 def test_rate_refusal_is_machine_readable(capsys):
     code, stdout, _ = _run(capsys, [
         "rate", "--family", "rrc", "--shape", "0.22", "--oversampling", "4",

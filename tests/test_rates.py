@@ -250,6 +250,17 @@ def test_config_validation():
         _config(signaling_ratio=0.5)
 
 
+def test_config_canonicalizes_integral_floats():
+    cfg = _config(oversampling=4.0, span_symbols=9.0, samples=1000.0,
+                  seed=0.0)
+    assert cfg == _config(oversampling=4)
+    assert cfg.fingerprint() == _config(oversampling=4).fingerprint()
+    assert type(cfg.oversampling) is int
+    for name in ("oversampling", "span_symbols", "samples", "seed"):
+        with pytest.raises(ValueError, match=name):
+            _config(**{name: 2.5})
+
+
 def test_fingerprint_separates_configs():
     a = _config()
     assert a.fingerprint() == _config().fingerprint()
