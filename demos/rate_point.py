@@ -39,10 +39,11 @@ print(f"difference:  {abs(mc.rate_bpcu - exact.rate_bpcu) / mc.stderr:.2f} "
 
 # -- Refusals instead of silent degradation ----------------------------------------
 #
-# Exact enumeration integrates over the noise correlation with fixed
-# Gauss-Legendre rules, checked against a coarser rule, and is only
-# implemented up to three samples per interval; beyond that the library
-# refuses loudly rather than approximating.
+# Exact enumeration closes a correlated pair of samples in form and
+# integrates over a third with fixed Gauss-Legendre rules, checked
+# against a coarser rule, so correlated noise is only handled up to
+# three samples per interval; beyond that the library refuses loudly
+# rather than approximating.
 
 print()
 try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import operator
 
 from .channel import component_alphabet
@@ -28,6 +29,23 @@ from .pulses import PulseSpec
 __all__ = ["RunConfig"]
 
 _ESTIMATORS = ("mc", "enum")
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; JSON may spell an integer as 4.0."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_float(name: str, value) -> float:
+    """``value`` as a float, so 10 and 10.0 serialize alike."""
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,17 +63,13 @@ class RunConfig:
     schema_version: int = 1
 
     def __post_init__(self):
-        # JSON may spell an integer as 4.0; store it as 4 so equal
-        # configurations compare, hash and serialize alike.
+        # One type per field, so equal configurations compare, hash,
+        # serialize and seed alike however the numbers were spelled.
         for name in ("oversampling", "span_symbols", "samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, "
-                                 f"got {value!r}") from None
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        for name in ("shape", "signaling_ratio", "snr_db"):
+            object.__setattr__(self, name,
+                               _as_float(name, getattr(self, name)))
         # Pulse parameter validation lives in PulseSpec; building one
         # here surfaces those errors at configuration time.
         self.pulse_spec()

@@ -22,14 +22,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .channel import component_alphabet
-from .config import RunConfig
+from .config import RunConfig, _as_float, _as_int
 from .errors import GridMismatchError
 from .rates import RateResult, rate_for_config
 
@@ -76,18 +76,32 @@ class SweepConfig:
     schema_version: int = 1
 
     def __post_init__(self):
-        for name in ("beta", "ratio", "snr_db", "oversampling", "alphabets"):
+        # Numbers get RunConfig's types, so a grid typed with 2.0 or 10
+        # echoes and fingerprints like one typed with 2 or 10.0.
+        for name, cast in (("beta", _as_float), ("ratio", _as_float),
+                           ("snr_db", _as_float), ("oversampling", _as_int),
+                           ("alphabets", None)):
             values = tuple(getattr(self, name))
+            if cast is not None:
+                values = tuple(cast(name, value) for value in values)
             if not values:
                 raise ValueError(f"axis {name!r} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"axis {name!r} has duplicate values")
             object.__setattr__(self, name, values)
-        for alphabet in self.alphabets:
-            component_alphabet(alphabet)
-        # One probe cell per axis extreme exercises the underlying
-        # validation (pulse family, estimator name, budgets).
-        next(iter(self.cells()))
+        for name in ("span_symbols", "samples", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        # One probe cell per axis value runs RunConfig's validation (pulse
+        # parameters, alphabet, estimator, budgets) on every value before
+        # any cell runs, at a cost of the summed axis lengths.
+        base = next(iter(self.cells()))
+        for field, axis in (("alphabet", self.alphabets),
+                            ("oversampling", self.oversampling),
+                            ("shape", self.beta),
+                            ("signaling_ratio", self.ratio),
+                            ("snr_db", self.snr_db)):
+            for value in axis[1:]:
+                base.replace(**{field: value})
 
     def cells(self):
         """All cell configurations, in the canonical order."""
@@ -240,6 +254,18 @@ def load_sweep_csv(path) -> SweepResult:
     return SweepResult(config=config, rows=tuple(rows))
 
 
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``path`` through a sibling temp file and ``os.replace``, so
+    a failed write leaves the previous file whole."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
               flush_every: int = 1, progress=None) -> SweepResult:
     """Evaluate a grid, resuming from ``out_path`` when it already exists.
@@ -250,6 +276,8 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     missing ones are evaluated (``workers`` cells in parallel), and the
     file is rewritten in canonical order after every ``flush_every``
     completions, so an interrupted run loses at most that many cells.
+    Each rewrite replaces the file whole, so a write that fails part-way
+    leaves the previous version loadable.
     ``progress`` is called after every newly computed cell with
     (completed cells, total cells, cell key).
     """
@@ -271,7 +299,7 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
 
     def flush():
         result = SweepResult(config=config, rows=tuple(done.values()))
-        out_path.write_text(sweep_csv_text(result))
+        _replace_text(out_path, sweep_csv_text(result))
 
     def finish(cfg: RunConfig, res: RateResult):
         nonlocal pending

@@ -20,10 +20,12 @@ Two estimators produce the table:
 * :func:`enumerate_exact` enumerates all symbol windows and sums their
   Gaussian orthant probabilities, all from one vectorized kernel.  A
   sample whose noise no later sample shares contributes a normal CDF
-  factor, so uncorrelated samples need no quadrature; correlated leading
-  samples are integrated with fixed Gauss-Legendre rules, and the table
-  is accepted only if a second, coarser rule reproduces it.  Correlated
-  noise is supported up to M = 3 and refused beyond that.
+  factor, and the last two samples, when correlated, close in form
+  through Owen's T function, so M <= 2 needs no quadrature.  At M = 3 a
+  correlated first sample is integrated with fixed Gauss-Legendre
+  rules, and the table is accepted only if a second, coarser rule
+  reproduces it.  Correlated noise is supported up to M = 3 and refused
+  beyond that.
 
 Both estimators exploit the sign symmetry of the model: negating the
 symbol window flips every output bit, so tables satisfy
@@ -37,7 +39,7 @@ import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .channel import DiscreteChannel, flip_index
 from .errors import BudgetExceededError, CorrelatedNoiseError, QuadratureToleranceError
@@ -211,24 +213,75 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
 # -- Exact enumeration ----------------------------------------------------------
 
 
+def _sign_probs(t: np.ndarray) -> np.ndarray:
+    """Columns Phi(-t) and Phi(t), from one normal tail per value."""
+    tail = ndtr(-np.abs(t))
+    neg = t < 0
+    return np.stack([np.where(neg, 1.0 - tail, tail),
+                     np.where(neg, tail, 1.0 - tail)], axis=-1)
+
+
+def _bivariate_orthants(means: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """P(sign pattern y) of two samples sharing w_0, in closed form.
+
+    With h = m_0 / sigma_0, k = m_1 / sigma_1 and correlation rho, Owen's
+    T function gives (Owen 1956; Genz 2004)
+
+        P(both >= 0) = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
+
+    a_h = (k - rho h) / (h sqrt(1 - rho^2)), a_k likewise, and beta = 0
+    when h and k have the same sign, 1/2 otherwise (zero counts as
+    positive, with a_h = +-inf at h = 0).  Negating one sample negates
+    rho and both a's, and T(h, a) is odd in a and even in h, so the other
+    patterns reuse T(h, a_h) + T(k, a_k) with the sign flipped and their
+    own beta.  At h = k = 0 that sum is the limit 1/4 - asin(rho) / (2 pi).
+    """
+    sigma1 = float(np.hypot(chol[1, 0], chol[1, 1]))
+    rho, root = chol[1, 0] / sigma1, chol[1, 1] / sigma1
+    h = means[:, 0] / chol[0, 0]
+    k = means[:, 1] / sigma1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_h = np.where(h == 0, np.copysign(np.inf, k),
+                       (k - rho * h) / (h * root))
+        a_k = np.where(k == 0, np.copysign(np.inf, h),
+                       (h - rho * k) / (k * root))
+    owen = np.where((h == 0) & (k == 0),
+                    0.25 - np.arcsin(rho) / (2.0 * np.pi),
+                    owens_t(h, a_h) + owens_t(k, a_k))
+    half_h = 0.5 * _sign_probs(h)
+    half_k = 0.5 * _sign_probs(k)
+    same = (h >= 0) == (k >= 0)
+    beta = np.where(same, 0.0, 0.5)
+    out = np.empty((h.size, 4))
+    out[:, 0] = half_h[:, 0] + half_k[:, 0] - owen - beta
+    out[:, 1] = half_h[:, 1] + half_k[:, 0] + owen - (0.5 - beta)
+    out[:, 2] = half_h[:, 0] + half_k[:, 1] + owen - (0.5 - beta)
+    out[:, 3] = half_h[:, 1] + half_k[:, 1] - owen - beta
+    # Cancellation must never leave a negative probability.
+    return np.maximum(out, 0.0, out=out)
+
+
 def _orthant_table(means: np.ndarray, chol: np.ndarray,
                    nodes: tuple = _GAUSS_LEGENDRE) -> np.ndarray:
     """P(sign pattern y) of ``means[r] + chol @ w`` for every row r.
 
     ``w`` is standard normal and ``chol`` lower triangular with a
     positive diagonal; bit j of y is set when sample j is nonnegative.
-    The first sample contributes a normal CDF factor when no later sample
-    shares its white variable w_0.  Otherwise w_0 is integrated out: the
-    Gauss-Legendre ``nodes`` (points and weights on [-1, 1]) are mapped
-    onto each interval of [-8.5, 8.5] between the zero crossings of the
-    sample means, and weight the tables of the remaining samples, whose
-    means shift with the node.
+    The recursion peels off the first sample.  It contributes a normal
+    CDF factor when no later sample shares its white variable w_0; two
+    remaining samples that share w_0 close in form through Owen's T
+    function.  Otherwise w_0 is integrated out: the Gauss-Legendre
+    ``nodes`` (points and weights on [-1, 1]) are mapped onto each
+    interval of [-8.5, 8.5] between the zero crossings of the sample
+    means, and weight the tables of the remaining samples, whose means
+    shift with the node.
     """
     n, k = means.shape
     col = chol[1:, 0]
+    if k == 2 and col[0] != 0:
+        return _bivariate_orthants(means, chol)
     if not col.any():
-        t = means[:, 0] / chol[0, 0]
-        first = ndtr(t[:, None] * np.array([-1.0, 1.0]))
+        first = _sign_probs(means[:, 0] / chol[0, 0])
         if k == 1:
             return first
         rest = _orthant_table(means[:, 1:], chol[1:, 1:], nodes)
@@ -263,10 +316,11 @@ def enumerate_exact(ch: DiscreteChannel, *, budget: int = ENUM_BUDGET,
     Cost is |X|^(L+1) windows times 2^M outputs; anything above ``budget``
     raises :class:`BudgetExceededError`.  Every window's orthant
     probabilities come from one kernel: normal CDF products where sample
-    noise is uncorrelated, fixed Gauss-Legendre quadrature over the
-    correlated leading samples otherwise, supported up to M = 3; beyond
-    that :class:`CorrelatedNoiseError` asks for the Monte Carlo path
-    instead.  Each window is computed with 64 and with 48 nodes per
+    noise is uncorrelated, a closed-form bivariate normal for a
+    correlated last pair, and fixed Gauss-Legendre quadrature over a
+    correlated first sample at M = 3; beyond M = 3
+    :class:`CorrelatedNoiseError` asks for the Monte Carlo path instead.
+    Each window is computed with 64 and with 48 nodes per
     interval, and :class:`QuadratureToleranceError` is raised when the
     two differ by more than ``tol`` or a window's probabilities miss a
     sum of one by more than ``tol``.  Rows come out bitwise
@@ -285,14 +339,15 @@ def enumerate_exact(ch: DiscreteChannel, *, budget: int = ENUM_BUDGET,
 
     m = ch.oversampling
     chol = component_cholesky(ch)
-    # Each sample that shares its white variable with a later one is one
-    # quadrature dimension; it splits its range at up to m crossings, so
-    # it multiplies the kernel's rows by at most (m + 1) times the nodes.
-    quad_dims = sum(bool(chol[j + 1:, j].any()) for j in range(m))
-    if quad_dims and m > 3:
+    if m > 3 and np.tril(chol, -1).any():
         raise CorrelatedNoiseError(
             "correlated sample noise is integrable only up to 3 samples "
             "per interval; use the Monte Carlo estimator")
+    # Each sample before the last two that shares its white variable with
+    # a later one is one quadrature dimension (the last pair closes in
+    # form); it splits its range at up to m crossings, so it multiplies
+    # the kernel's rows by at most (m + 1) times the nodes.
+    quad_dims = sum(bool(chol[j + 1:, j].any()) for j in range(m - 2))
     rows_per_window = ((m + 1) * _GAUSS_LEGENDRE[0].size) ** quad_dims
     chunk = max(1, _KERNEL_ROWS // rows_per_window)
 

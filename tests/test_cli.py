@@ -206,6 +206,22 @@ def test_sweep_run_resume_and_mismatch(tmp_path, capsys):
     assert "different" in stderr
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"beta": [0.2, 1.5]}, "roll-off"),
+    ({"oversampling": [1, 2.5]}, "oversampling must be an integer"),
+])
+def test_sweep_refuses_invalid_axis_value(tmp_path, capsys, overrides,
+                                          message):
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path, **overrides)
+    out = tmp_path / "grid.csv"
+    code, _, stderr = _run(capsys, ["sweep", "--config", str(cfg_path),
+                                    "--out", str(out)])
+    assert code == 2
+    assert message in stderr
+    assert not out.exists()
+
+
 def test_sweep_requires_out(tmp_path, capsys):
     cfg_path = tmp_path / "grid.json"
     _write_grid(cfg_path)

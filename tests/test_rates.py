@@ -261,6 +261,20 @@ def test_config_canonicalizes_integral_floats():
             _config(**{name: 2.5})
 
 
+def test_config_canonicalizes_integer_spelled_floats():
+    # One physical cell has one fingerprint and one sample stream,
+    # whether its real-valued fields were typed as 1 or 1.0.
+    ints = RunConfig("rrc", 1, 1, 1, "4qam", 10)
+    floats = RunConfig("rrc", 1.0, 1.0, 1, "4qam", 10.0)
+    assert ints.canonical_json() == floats.canonical_json()
+    assert ints.fingerprint() == floats.fingerprint()
+    assert ints.stream_seed() == floats.stream_seed()
+    for name in ("shape", "signaling_ratio", "snr_db"):
+        assert type(getattr(ints, name)) is float
+        with pytest.raises(ValueError, match=name):
+            _config(**{name: "1.0"})
+
+
 def test_fingerprint_separates_configs():
     a = _config()
     assert a.fingerprint() == _config().fingerprint()

@@ -9,6 +9,7 @@ Groups:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,39 @@ def test_sweep_config_validation():
         _tiny_sweep(estimator="exact")
     with pytest.raises(ValueError):
         SweepConfig.from_dict({"family": "rrc", "betas": [0.1]})
+
+
+def test_sweep_config_validates_every_axis_value():
+    # An invalid value anywhere on an axis is refused at construction,
+    # not when its cells come up mid-run.
+    with pytest.raises(ValueError, match="roll-off"):
+        _tiny_sweep(beta=(0.5, 1.5))
+    with pytest.raises(ValueError, match="signaling ratio"):
+        _tiny_sweep(ratio=(1.0, 1.25, 0.5))
+    with pytest.raises(ValueError, match="oversampling"):
+        _tiny_sweep(oversampling=(1, 0))
+    with pytest.raises(ValueError, match="snr_db"):
+        _tiny_sweep(snr_db=(5.0, "high"))
+
+
+def test_sweep_config_canonicalizes_numeric_types():
+    typed = _tiny_sweep(beta=(1,), ratio=(1, 1.25), snr_db=(5,),
+                        oversampling=(2.0,), span_symbols=9.0,
+                        samples=1000.0, seed=0.0)
+    spelled = _tiny_sweep(beta=(1.0,), ratio=(1.0, 1.25), snr_db=(5.0,),
+                          oversampling=(2,))
+    assert typed.canonical_json() == spelled.canonical_json()
+    assert typed.fingerprint() == spelled.fingerprint()
+    assert type(typed.oversampling[0]) is int
+    assert type(typed.beta[0]) is float
+    assert [c.fingerprint() for c in typed.cells()] == [
+        c.fingerprint() for c in spelled.cells()]
+    with pytest.raises(ValueError, match="oversampling must be an integer"):
+        _tiny_sweep(oversampling=(2.5,))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        _tiny_sweep(seed=0.5)
+    with pytest.raises(ValueError, match="duplicate"):
+        _tiny_sweep(oversampling=(2, 2.0))
 
 
 def test_sweep_config_json_roundtrip():
@@ -167,6 +201,35 @@ def test_run_sweep_is_deterministic_and_resumable(tmp_path):
     # Rerunning a complete file leaves it untouched.
     run_sweep(grid, second)
     assert second.read_bytes() == bytes_first
+
+
+def test_failed_flush_keeps_previous_file_resumable(tmp_path, monkeypatch):
+    grid = _tiny_sweep(estimator="mc", samples=20000)
+    reference = tmp_path / "reference" / "sweep.csv"
+    reference.parent.mkdir()
+    run_sweep(grid, reference)
+    complete = reference.read_bytes()
+
+    out = tmp_path / "sweep.csv"
+    partial = "\n".join(complete.decode().splitlines()[:-2]) + "\n"
+    out.write_text(partial)
+    real_write = Path.write_text
+
+    def write_half(path, text, *args, **kwargs):
+        real_write(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    with pytest.raises(OSError, match="no space"):
+        run_sweep(grid, out)
+    monkeypatch.undo()
+
+    assert out.read_text() == partial
+    assert len(load_sweep_csv(out).rows) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "reference", "sweep.csv"]
+    run_sweep(grid, out)
+    assert out.read_bytes() == complete
 
 
 def test_run_sweep_refuses_mismatched_file(tmp_path):

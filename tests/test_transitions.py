@@ -3,8 +3,9 @@
 Groups:
  1. Exact tables against closed-form normal CDF values on channels with
     no symbol overlap (the neighbor average collapses).
- 2. Exact tables with correlated samples against an independent
-    multivariate normal CDF reference.
+ 2. Exact tables with correlated samples, and the closed-form
+    bivariate orthants, against an independent multivariate normal CDF
+    reference.
  3. Structural invariants: sign symmetry (bitwise), row sums, refusals.
  4. Monte Carlo: determinism across worker counts, chunk reuse across
     sample budgets, agreement with exact tables, error calibration.
@@ -26,6 +27,8 @@ from signrate.pulses import ROOT_RAISED_COSINE, PulseSpec, delta_taps
 from signrate.transitions import (
     CHUNK_SAMPLES,
     TransitionTable,
+    _bivariate_orthants,
+    _orthant_table,
     component_cholesky,
     enumerate_exact,
     mc_estimate,
@@ -116,6 +119,38 @@ def test_exact_table_refuses_uncertified_quadrature():
     assert info.value.requested == 1e-16
     assert info.value.achieved > 1e-16
     enumerate_exact(ch)
+
+
+def _bivariate_reference(means, chol):
+    """Sign-pattern probabilities from scipy's 2-D normal CDF."""
+    cov = chol @ chol.T
+    probs = np.zeros((len(means), 4))
+    for r, mu in enumerate(means):
+        for y in range(4):
+            signs = 2.0 * ((y >> np.arange(2)) & 1) - 1.0
+            probs[r, y] = multivariate_normal(
+                mean=np.zeros(2), cov=cov * np.outer(signs, signs),
+                abseps=1e-15, releps=1e-15).cdf(signs * mu)
+    return probs
+
+
+@pytest.mark.parametrize("rho", [0.999, -0.999, 0.6, -0.3])
+def test_bivariate_orthants_match_mvn_cdf(rho):
+    # Standardized means (h, k): exact zeros, mixed signs and 8 sigma.
+    hk = np.array([(0.0, 0.0), (0.0, 1.3), (0.0, -1.3), (1.1, 0.0),
+                   (-1.1, 0.0), (0.0, 8.0), (-8.0, 0.0), (8.0, 8.0),
+                   (-8.0, -8.0), (8.0, -8.0), (-8.0, 8.0), (0.5, -2.0),
+                   (2.0, 3.0), (-0.2, 0.1)])
+    sigma0, sigma1 = 0.3, 0.7
+    chol = np.array([[sigma0, 0.0],
+                     [rho * sigma1, np.sqrt(1.0 - rho * rho) * sigma1]])
+    means = hk * [sigma0, sigma1]
+    table = _bivariate_orthants(means, chol)
+    assert np.all(table >= 0.0)
+    assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-14
+    assert np.max(np.abs(table - _bivariate_reference(means, chol))) < 1e-13
+    # The kernel takes this closed form for a correlated pair.
+    assert np.array_equal(_orthant_table(means, chol), table)
 
 
 # -- Group 3: invariants and refusals ---------------------------------------------------
