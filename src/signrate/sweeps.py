@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -103,20 +103,25 @@ class SweepConfig:
             for value in axis[1:]:
                 base.replace(**{field: value})
 
+    def cell_keys(self):
+        """All cell keys (alphabet, M, shape, ratio, SNR), in the canonical
+        order; they equal the keys of the cells' :class:`SweepRow`."""
+        return itertools.product(self.alphabets, self.oversampling,
+                                 self.beta, self.ratio, self.snr_db)
+
+    def cell(self, key: tuple) -> RunConfig:
+        """The configuration of the cell with ``key``."""
+        alphabet, m, shape, ratio, snr = key
+        return RunConfig(family=self.family, shape=shape,
+                         signaling_ratio=ratio, oversampling=m,
+                         alphabet=alphabet, snr_db=snr,
+                         span_symbols=self.span_symbols,
+                         estimator=self.estimator, samples=self.samples,
+                         seed=self.seed)
+
     def cells(self):
         """All cell configurations, in the canonical order."""
-        for alphabet in self.alphabets:
-            for m in self.oversampling:
-                for shape in self.beta:
-                    for ratio in self.ratio:
-                        for snr in self.snr_db:
-                            yield RunConfig(
-                                family=self.family, shape=shape,
-                                signaling_ratio=ratio, oversampling=m,
-                                alphabet=alphabet, snr_db=snr,
-                                span_symbols=self.span_symbols,
-                                estimator=self.estimator,
-                                samples=self.samples, seed=self.seed)
+        return map(self.cell, self.cell_keys())
 
     def n_cells(self) -> int:
         return (len(self.alphabets) * len(self.oversampling) * len(self.beta)
@@ -216,17 +221,12 @@ class SweepResult:
         return {row.key(): row for row in self.rows}
 
 
-def _cell_key(cfg: RunConfig) -> tuple:
-    return (cfg.alphabet, cfg.oversampling, cfg.shape, cfg.signaling_ratio,
-            cfg.snr_db)
-
-
 def sweep_csv_text(result: SweepResult) -> str:
     """Render rows in canonical cell order with the config echo line."""
     by_key = result.by_key()
     lines = [f"# config: {result.config.canonical_json()}", SWEEP_HEADER]
-    for cfg in result.config.cells():
-        row = by_key.get(_cell_key(cfg))
+    for key in result.config.cell_keys():
+        row = by_key.get(key)
         if row is not None:
             lines.append(row.to_csv_line())
     return "\n".join(lines) + "\n"
@@ -242,7 +242,7 @@ def load_sweep_csv(path) -> SweepResult:
     if len(lines) < 2 or lines[1] != SWEEP_HEADER:
         raise GridMismatchError(f"{path}: missing sweep header")
     rows = [SweepRow.from_csv_line(ln) for ln in lines[2:]]
-    valid = {_cell_key(cfg) for cfg in config.cells()}
+    valid = set(config.cell_keys())
     seen = set()
     for row in rows:
         if row.key() not in valid:
@@ -279,7 +279,12 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     Each rewrite replaces the file whole, so a write that fails part-way
     leaves the previous version loadable.
     ``progress`` is called after every newly computed cell with
-    (completed cells, total cells, cell key).
+    (completed cells, total cells, cell key).  Results are recorded in
+    the canonical order, so every rewrite holds the same rows on every
+    run.  An exception, from a cell, ``progress`` or Ctrl-C, stops the
+    sweep: queued cells are cancelled, cells already running finish
+    unrecorded, the cells recorded so far are flushed and the exception
+    propagates.
     """
     out_path = Path(out_path)
     done: dict = {}
@@ -292,35 +297,43 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
                 f"requested {config.fingerprint()})")
         done = previous.by_key()
 
-    todo = [cfg for cfg in config.cells() if _cell_key(cfg) not in done]
+    todo = [key for key in config.cell_keys() if key not in done]
     total = config.n_cells()
-    lock = threading.Lock()
+    # Cells recorded since the last flush; results are recorded in the
+    # calling thread only.
     pending = 0
 
     def flush():
         result = SweepResult(config=config, rows=tuple(done.values()))
         _replace_text(out_path, sweep_csv_text(result))
 
-    def finish(cfg: RunConfig, res: RateResult):
+    def finish(key: tuple, res: RateResult):
         nonlocal pending
-        with lock:
-            done[_cell_key(cfg)] = SweepRow.from_result(res)
-            pending += 1
-            if pending >= flush_every:
-                pending = 0
-                flush()
-            if progress is not None:
-                progress(len(done), total, _cell_key(cfg))
+        done[key] = SweepRow.from_result(res)
+        pending += 1
+        if pending >= flush_every:
+            pending = 0
+            flush()
+        if progress is not None:
+            progress(len(done), total, key)
 
-    if workers == 1:
-        for cfg in todo:
-            finish(cfg, rate_for_config(cfg))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(cfg, pool.submit(rate_for_config, cfg))
-                       for cfg in todo]
-            for cfg, fut in futures:
-                finish(cfg, fut.result())
+    try:
+        if workers == 1:
+            for key in todo:
+                finish(key, rate_for_config(config.cell(key)))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [(key, pool.submit(rate_for_config, config.cell(key)))
+                           for key in todo]
+                try:
+                    for key, fut in futures:
+                        finish(key, fut.result())
+                finally:
+                    pool.shutdown(cancel_futures=True)
+    except BaseException:
+        if pending:
+            flush()
+        raise
     flush()
     return load_sweep_csv(out_path)
 
@@ -332,9 +345,9 @@ def merge_sweeps(a: SweepResult, b: SweepResult) -> SweepResult:
     must be disjoint; anything else raises :class:`GridMismatchError`.
     """
     cfg_a, cfg_b = a.config, b.config
-    base_a = dataclasses.replace(cfg_a, alphabets=("4qam",))
-    base_b = dataclasses.replace(cfg_b, alphabets=("4qam",))
-    if base_a != base_b:
+    grid_a, grid_b = cfg_a.to_dict(), cfg_b.to_dict()
+    del grid_a["alphabets"], grid_b["alphabets"]
+    if grid_a != grid_b:
         raise GridMismatchError(
             f"sweeps describe different grids ({cfg_a.fingerprint()} vs "
             f"{cfg_b.fingerprint()})")

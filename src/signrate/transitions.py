@@ -15,7 +15,12 @@ Two estimators produce the table:
   chunk by chunk.  A chunk uses ``np.convolve``, elementwise sums and
   ``np.bincount`` rather than matrix products, so it wakes no BLAS
   threads: neither results nor speed depend on BLAS thread settings, and
-  ``workers`` is the only parallelism setting.
+  ``workers`` is the only parallelism setting.  Each chunk runs in fixed
+  blocks of ``CHUNK_SAMPLES // 4`` intervals through block-sized buffers
+  that a chunk thread reuses; the only chunk-length array holds each
+  symbol's level index in the narrowest integer type.  The draws and the
+  arithmetic per interval, hence the counts, are those of one unblocked
+  pass.
 
 * :func:`enumerate_exact` enumerates all symbol windows and sums their
   Gaussian orthant probabilities, all from one vectorized kernel.  A
@@ -36,6 +41,7 @@ bitwise by computing only half the input rows and mirroring.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -56,6 +62,10 @@ __all__ = [
 # One simulation chunk; chunk boundaries never move so a larger sample
 # budget reuses the chunks of a smaller one verbatim.
 CHUNK_SAMPLES = 65536
+
+# Intervals per block within a chunk: a chunk reuses a few block-sized
+# buffers instead of allocating chunk-sized temporaries.
+_BLOCK_SAMPLES = CHUNK_SAMPLES // 4
 
 # Number of interleaved chunk groups used for spread estimates.
 N_GROUPS = 10
@@ -146,27 +156,77 @@ def _level_cdf(priors: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _level_indices(rng: np.random.Generator, cdf: np.ndarray, size: int,
+                   dtype: np.dtype) -> np.ndarray:
+    """Level index of ``size`` symbols from one uniform draw each.
+
+    The index is the number of CDF steps at or below the draw, as
+    ``searchsorted(cdf, u, side="right")`` counts them (the last step is 1
+    and never reached).  Uniforms are drawn block by block; the generator
+    yields the same values as in one call.
+    """
+    idx = np.zeros(size, dtype=dtype)
+    for start in range(0, size, _BLOCK_SAMPLES):
+        u = rng.random(min(_BLOCK_SAMPLES, size - start))
+        level = idx[start:start + u.size]
+        for step in cdf[:-1]:
+            level += u >= step
+    return idx
+
+
+def _block_buffers(ch: DiscreteChannel) -> tuple:
+    """Scratch arrays of one block: symbol window, noise, product term,
+    white draws, and sign bits in the narrowest integer type that holds
+    every flat (center symbol, sign pattern) code."""
+    block = _BLOCK_SAMPLES
+    code_dtype = np.min_scalar_type((ch.alphabet.size << ch.oversampling) - 1)
+    return (np.empty(block + ch.memory), np.empty(block), np.empty(block),
+            np.empty((block, ch.oversampling)),
+            np.empty(block, dtype=code_dtype))
+
+
 def _chunk_counts(ch: DiscreteChannel, chol: np.ndarray, cdf: np.ndarray,
-                  n: int, seed: int, chunk_index: int) -> np.ndarray:
+                  n: int, seed: int, chunk_index: int,
+                  buffers: tuple) -> np.ndarray:
+    """Counts of one chunk of ``n`` intervals, block by block.
+
+    The chunk draws ``n + L`` uniforms for its symbols, then its (n, M)
+    normal draws row by row, one block of ``_BLOCK_SAMPLES`` rows at a
+    time, so the stream and every interval's arithmetic are those of one
+    unblocked pass.  ``buffers`` (from :func:`_block_buffers`) are
+    overwritten.
+    """
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     rng = np.random.default_rng(seq)
-    m = ch.oversampling
-    idx = np.searchsorted(cdf, rng.random(n + ch.memory), side="right")
-    symbols = ch.alphabet.levels[idx]
-    # Row j holds draw j of every interval, contiguous for the sums below.
-    white = rng.standard_normal((n, m)).T.copy()
-    # Flat (center symbol, sign pattern) code; sample k sets bit k.
-    codes = idx[ch.memory // 2:ch.memory // 2 + n] << m
-    # Sample k: row k of the lower-triangular factor colours the white
-    # draws, and convolving with the reversed row k of A correlates it
-    # with the symbol window.
-    for k in range(m):
-        noise = chol[k, 0] * white[0]
-        for j in range(1, k + 1):
-            noise += chol[k, j] * white[j]
-        z = np.convolve(symbols, ch.A[k, ::-1], mode="valid") + noise
-        codes |= (z >= 0.0) << k
-    counts = np.bincount(codes, minlength=ch.alphabet.size << m)
+    m, memory = ch.oversampling, ch.memory
+    n_codes = ch.alphabet.size << m
+    symbols, noise, term, white, bits = buffers
+    idx = _level_indices(rng, cdf, n + memory, bits.dtype)
+    taps = ch.A[:, ::-1]
+    counts = np.zeros(n_codes, dtype=np.int64)
+    for start in range(0, n, _BLOCK_SAMPLES):
+        b = min(_BLOCK_SAMPLES, n - start)
+        # Column j holds draw j of every interval of the block.
+        draws = rng.standard_normal(out=white[:b])
+        # Indices are in range; mode="clip" lets take write straight
+        # into the buffer instead of through a temporary.
+        window = np.take(ch.alphabet.levels, idx[start:start + b + memory],
+                         out=symbols[:b + memory], mode="clip")
+        # Flat (center symbol, sign pattern) code; sample k sets bit k.
+        codes = idx[start + memory // 2:start + memory // 2 + b] << m
+        # Sample k: row k of the lower-triangular factor colours the white
+        # draws, and convolving with the reversed row k of A correlates it
+        # with the symbol window.
+        for k in range(m):
+            np.multiply(chol[k, 0], draws[:, 0], out=noise[:b])
+            for j in range(1, k + 1):
+                noise[:b] += np.multiply(chol[k, j], draws[:, j],
+                                         out=term[:b])
+            z = np.convolve(window, taps[k], mode="valid")
+            z += noise[:b]
+            np.greater_equal(z, 0.0, out=bits[:b])
+            codes |= np.left_shift(bits[:b], k, out=bits[:b])
+        counts += np.bincount(codes, minlength=n_codes)
     return counts.reshape(ch.alphabet.size, ch.n_outputs)
 
 
@@ -179,7 +239,9 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
     addition, so the result does not depend on ``workers`` and extending
     ``samples`` only appends chunks.  Chunks use no matrix products and so
     wake no BLAS threads: the ``workers`` threads, each running one chunk
-    at a time, are the only parallelism.
+    at a time, are the only parallelism.  A chunk walks its intervals in
+    fixed blocks through one set of block-sized buffers per thread, and
+    its counts equal those of an unblocked pass over the same stream.
     """
     if samples < 1:
         raise ValueError("sample count must be positive")
@@ -193,8 +255,14 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
     pooled = np.zeros((ch.alphabet.size, ch.n_outputs), dtype=np.int64)
     groups = np.zeros((N_GROUPS,) + pooled.shape, dtype=np.int64)
 
+    # Each thread that runs chunks keeps one set of block buffers for the
+    # whole call, so chunks do not allocate and page-fault in fresh ones.
+    local = threading.local()
+
     def run(i: int) -> np.ndarray:
-        return _chunk_counts(ch, chol, cdf, sizes[i], seed, i)
+        if not hasattr(local, "buffers"):
+            local.buffers = _block_buffers(ch)
+        return _chunk_counts(ch, chol, cdf, sizes[i], seed, i, local.buffers)
 
     # The pool starts no thread until used, so one worker stays serial.
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -3,16 +3,19 @@
 Groups:
  1. Grid definition: default axes, cell order, counts, validation.
  2. CSV round trips and the config echo line.
- 3. Running sweeps: determinism, resume, mismatch refusal, workers.
+ 3. Running sweeps: determinism, resume, mismatch refusal, workers,
+    stopping.
  4. Optimum search: completeness, tie-breaking.
  5. Region comparison: winners, ties, flags, CSV format.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from signrate import sweeps
 from signrate.errors import GridMismatchError
 from signrate.sweeps import (
     REGION_HEADER,
@@ -230,6 +233,44 @@ def test_failed_flush_keeps_previous_file_resumable(tmp_path, monkeypatch):
         "reference", "sweep.csv"]
     run_sweep(grid, out)
     assert out.read_bytes() == complete
+
+
+@pytest.mark.parametrize("workers, flush_every, stop", [
+    (2, 1, RuntimeError), (2, 5, KeyboardInterrupt), (1, 5, RuntimeError)])
+def test_stopped_sweep_cancels_queued_cells(tmp_path, monkeypatch, workers,
+                                            flush_every, stop):
+    # 20 cells; the progress callback stops the sweep at the first one.
+    grid = _tiny_sweep(beta=(0.2, 0.5), ratio=(1.0, 1.25, 1.5, 1.75, 2.0),
+                       estimator="mc", samples=2000)
+    reference = tmp_path / "reference.csv"
+    run_sweep(grid, reference, workers=1)
+
+    real_rate = sweeps.rate_for_config
+    calls = []
+
+    def counted_rate(cfg):
+        calls.append(cfg)
+        time.sleep(0.02)
+        return real_rate(cfg)
+
+    def stop_at_first(done, total, key):
+        raise stop("stop")
+
+    monkeypatch.setattr(sweeps, "rate_for_config", counted_rate)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(stop):
+        run_sweep(grid, out, workers=workers, flush_every=flush_every,
+                  progress=stop_at_first)
+    # Queued cells never ran (besides the recorded one, only cells
+    # already running when the sweep stopped); the recorded cell was
+    # flushed although the flush interval was not reached.
+    assert len(calls) < grid.n_cells() // 2
+    assert len(load_sweep_csv(out).rows) == 1
+
+    calls.clear()
+    run_sweep(grid, out, workers=workers)
+    assert len(calls) == grid.n_cells() - 1
+    assert out.read_bytes() == reference.read_bytes()
 
 
 def test_run_sweep_refuses_mismatched_file(tmp_path):

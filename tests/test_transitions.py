@@ -7,8 +7,9 @@ Groups:
     bivariate orthants, against an independent multivariate normal CDF
     reference.
  3. Structural invariants: sign symmetry (bitwise), row sums, refusals.
- 4. Monte Carlo: determinism across worker counts, chunk reuse across
-    sample budgets, agreement with exact tables, error calibration.
+ 4. Monte Carlo: determinism across worker counts, the blocked chunk
+    kernel against a single-pass reference, chunk reuse across sample
+    budgets, agreement with exact tables, error calibration.
  5. Table utilities: group tables, read-only arrays.
 """
 
@@ -25,6 +26,7 @@ from signrate.errors import (
 )
 from signrate.pulses import ROOT_RAISED_COSINE, PulseSpec, delta_taps
 from signrate.transitions import (
+    _BLOCK_SAMPLES,
     CHUNK_SAMPLES,
     TransitionTable,
     _bivariate_orthants,
@@ -235,6 +237,54 @@ def test_mc_counts_pinned_on_correlated_noise(m, snr_db):
     for other in tables[1:]:
         assert np.array_equal(other.counts, tables[0].counts)
         assert np.array_equal(other.group_counts, tables[0].group_counts)
+
+
+def _unblocked_chunk_counts(ch, n, seed, chunk_index):
+    """Reference: one chunk in a single pass, without blocks or buffers."""
+    chol = component_cholesky(ch)
+    cdf = np.cumsum(ch.alphabet.priors)
+    cdf[-1] = 1.0
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    rng = np.random.default_rng(seq)
+    m = ch.oversampling
+    idx = np.searchsorted(cdf, rng.random(n + ch.memory), side="right")
+    symbols = ch.alphabet.levels[idx]
+    white = rng.standard_normal((n, m)).T.copy()
+    codes = idx[ch.memory // 2:ch.memory // 2 + n] << m
+    for k in range(m):
+        noise = chol[k, 0] * white[0]
+        for j in range(1, k + 1):
+            noise += chol[k, j] * white[j]
+        z = np.convolve(symbols, ch.A[k, ::-1], mode="valid") + noise
+        codes |= (z >= 0.0) << k
+    counts = np.bincount(codes, minlength=ch.alphabet.size << m)
+    return counts.reshape(ch.alphabet.size, ch.n_outputs)
+
+
+@pytest.mark.parametrize("noise", ["rrc", "delta"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["4qam", "16qam"])
+def test_mc_blocks_match_unblocked_chunks(name, m, noise):
+    # Budgets at and around the block edges, then two chunks with the
+    # second ending one interval into its second block: the blocked kernel
+    # must reproduce the single-pass counts exactly, with its buffers
+    # reused from chunk to chunk.
+    if noise == "rrc":
+        ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.5, signaling_ratio=1.2,
+                                oversampling=m), name, snr_db=10.0)
+    else:
+        ch = _delta_channel(name, snr_db=10.0, m=m)
+    correlated = np.tril(component_cholesky(ch), -1).any()
+    assert correlated == (noise == "rrc" and m > 1)
+    block = _BLOCK_SAMPLES
+    for n in (1, block - 1, block, block + 1, 40000, CHUNK_SAMPLES):
+        est = mc_estimate(ch, samples=n, seed=5)
+        assert np.array_equal(est.counts, _unblocked_chunk_counts(ch, n, 5, 0))
+    est = mc_estimate(ch, samples=CHUNK_SAMPLES + block + 1, seed=6,
+                      workers=2)
+    expect = [_unblocked_chunk_counts(ch, CHUNK_SAMPLES, 6, 0),
+              _unblocked_chunk_counts(ch, block + 1, 6, 1)]
+    assert np.array_equal(est.group_counts[:2], expect)
 
 
 def test_mc_chunks_extend_across_budgets():
