@@ -1,9 +1,9 @@
 """Anatomy of the discrete observation model.
 
 Assembles the sign-quantized receiver for a small configuration and
-walks through the pieces: the symbol window, the linear maps from
-symbols and noise to the M samples of one interval, and the noise
-correlation that matched filtering leaves behind.
+walks through the pieces: the symbol window, the linear map from
+symbols to the M samples of one interval, and the noise correlation
+that matched filtering leaves behind.
 
 Run with ``python3 demos/channel_anatomy.py``.
 """
@@ -16,21 +16,22 @@ from signrate import PulseSpec, assemble, quantize_1bit
 #
 # The model answers one question: given the window of symbols that overlap
 # one interval, what is the distribution of the M quantized samples taken
-# there?  ``assemble`` builds every matrix from the pulse description.
+# there?  ``assemble`` builds the model from the pulse description.
 
 spec = PulseSpec("rrc", 0.5, 1.25, span_symbols=5, oversampling=2)
 ch = assemble(spec, "4qam", snr_db=10.0)
 
 print(f"symbol memory L = {ch.memory} (window of {ch.memory + 1} symbols)")
 print(f"samples per interval M = {ch.oversampling}")
-print(f"upsampler U {ch.U.shape}, response matrix H {ch.H.shape}, "
-      f"noise matrix G {ch.G.shape}")
+print(f"symbol operator A {ch.A.shape}, noise covariance R {ch.R.shape}")
 
 # -- The per-interval operator ---------------------------------------------------
 #
-# A = H U collapses the pipeline to one small matrix: column j holds the
-# contribution of window symbol j to the M samples.  The center column
-# dominates; its neighbors are the interference the receiver must live with.
+# In z = H U x + G n, U places the symbols on the sample grid and H reads
+# the combined response at the M sampling phases.  A = H U collapses that
+# to one small matrix: column j holds the contribution of window symbol j
+# to the M samples.  The center column dominates; its neighbors are the
+# interference the receiver must live with.
 
 print()
 with np.printoptions(precision=3, suppress=True):

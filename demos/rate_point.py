@@ -62,7 +62,7 @@ except CorrelatedNoiseError as err:
 spec = PulseSpec("rrc", 0.5, 1.25, span_symbols=5, oversampling=2)
 v = discretize(spec)
 g = delta_taps(5, 2)
-ch = from_taps(v, g, matched_combine(v, g, 5), "4qam", snr_db=10.0)
+ch = from_taps(g, matched_combine(v, g, 5), "4qam", snr_db=10.0)
 report = block_entropy_bound(ch, n_intervals=3)
 
 print()

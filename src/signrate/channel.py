@@ -9,7 +9,9 @@ interest and white Gaussian noise n on the receive path, those M values are
 where U places the symbols on the sample grid (one symbol every M samples),
 H reads the combined transmit-receive response at the M sampling phases, and
 G reads the receive filter alone.  The noise entering the M samples is then
-Gaussian with covariance R = sigma2 * G G^T.
+Gaussian with covariance R = sigma2 * G G^T.  The estimators only ever see
+the collapsed operator A = H U and the covariance R, so that is what the
+model stores (with G, whose sparsity tells independent noise apart).
 
 Complex constellations are handled per real component throughout: a square
 QAM symbol is two independent amplitude components, each carrying half the
@@ -18,13 +20,13 @@ The registry below therefore stores one-dimensional component alphabets.
 
 All filters live on the tap grid of ``pulses`` (M taps per symbol interval,
 one tap at t = 0).  The combined response must span an odd number of symbol
-intervals; its span fixes both the symbol memory L and the noise memory N.
+intervals; its span fixes the symbol memory L, and the noise band spans the
+same L + 1 intervals.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 
@@ -34,63 +36,18 @@ __all__ = [
     "ComponentAlphabet",
     "DiscreteChannel",
     "assemble",
-    "bits_to_index",
     "build_toeplitz",
-    "build_upsampling",
     "component_alphabet",
-    "dump_matrix_csv",
     "flip_index",
     "from_taps",
-    "index_to_bits",
-    "mean_vector",
     "quantize_1bit",
-    "sampling_offsets",
     "sigma2_from_snr_db",
-    "snr_db_from_sigma2",
 ]
 
 
 def sigma2_from_snr_db(snr_db: float) -> float:
     """Noise variance for a given SNR in dB, with unit symbol energy."""
     return float(10.0 ** (-snr_db / 10.0))
-
-
-def snr_db_from_sigma2(sigma2: float) -> float:
-    if sigma2 <= 0.0:
-        raise ValueError("noise variance must be positive")
-    return float(-10.0 * np.log10(sigma2))
-
-
-def sampling_offsets(m: int) -> np.ndarray:
-    """Sampling phases within one symbol interval, as fractions of it.
-
-    The M phases are centered on the interval midpoint with spacing 1/M,
-    so M = 1 samples the symbol peak and M = 4 samples at -3/8, -1/8,
-    1/8, 3/8.
-    """
-    if m < 1:
-        raise ValueError("oversampling must be at least 1")
-    return (np.arange(m) - 0.5 * (m - 1)) / m
-
-
-def _upsample_rows(memory: int, m: int) -> np.ndarray:
-    j = np.arange(memory + 1)
-    return j * m + (m - 1) // 2
-
-
-def build_upsampling(memory: int, m: int) -> np.ndarray:
-    """Matrix placing L + 1 symbols on the length (L + 2) M - 1 sample grid.
-
-    Column j has a single one at row j M + floor((M - 1) / 2); with the
-    banded response matrix of :func:`build_toeplitz` this aligns every
-    symbol with the tap grid of the combined response.
-    """
-    if memory < 0:
-        raise ValueError("memory must be nonnegative")
-    n_rows = (memory + 2) * m - 1
-    u = np.zeros((n_rows, memory + 1))
-    u[_upsample_rows(memory, m), np.arange(memory + 1)] = 1.0
-    return u
 
 
 def build_toeplitz(taps: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -121,21 +78,6 @@ def quantize_1bit(z):
     if arr.ndim == 0:
         return int(out)
     return out
-
-
-def bits_to_index(bits) -> int:
-    """Pack one interval of M sign samples into an integer observation.
-
-    The first sample is the least significant bit; a +1 sample sets it.
-    """
-    bits = np.asarray(bits)
-    weights = 1 << np.arange(bits.shape[-1])
-    return (bits > 0) @ weights
-
-
-def index_to_bits(index: int, m: int) -> np.ndarray:
-    bits = (np.asarray(index)[..., None] >> np.arange(m)) & 1
-    return (2 * bits - 1).astype(np.int8)
 
 
 def flip_index(index, m: int):
@@ -215,26 +157,21 @@ class DiscreteChannel:
     """Fully assembled per-interval observation model.
 
     ``A = H U`` maps the L + 1 symbol window directly to the M sample
-    means; ``R`` is the noise covariance of one complex component pair,
-    so a single real component sees ``R_component = R / 2``.
+    means; ``G`` is the noise matrix and ``R`` the noise covariance of one
+    complex component pair, so a single real component sees
+    ``R_component = R / 2``.
     """
 
     alphabet: ComponentAlphabet
     oversampling: int
     memory: int
-    noise_memory: int
     sigma2: float
-    v_taps: FilterTaps
-    g_taps: FilterTaps
-    h_taps: FilterTaps
-    U: np.ndarray
-    H: np.ndarray
     G: np.ndarray
     R: np.ndarray
     A: np.ndarray
 
     def __post_init__(self):
-        for field in ("U", "H", "G", "R", "A"):
+        for field in ("G", "R", "A"):
             arr = np.ascontiguousarray(getattr(self, field))
             arr.flags.writeable = False
             object.__setattr__(self, field, arr)
@@ -244,16 +181,8 @@ class DiscreteChannel:
         return 0.5 * self.R
 
     @property
-    def n_inputs(self) -> int:
-        return self.alphabet.size
-
-    @property
     def n_outputs(self) -> int:
         return 1 << self.oversampling
-
-    @property
-    def snr_db(self) -> float:
-        return snr_db_from_sigma2(self.sigma2)
 
 
 def _noise_filter(g: FilterTaps, max_len: int) -> np.ndarray:
@@ -265,68 +194,47 @@ def _noise_filter(g: FilterTaps, max_len: int) -> np.ndarray:
     return taps / np.sqrt(np.sum(taps ** 2))
 
 
-def from_taps(v: FilterTaps, g: FilterTaps, combined: FilterTaps,
-              alphabet, snr_db: float) -> DiscreteChannel:
+def from_taps(g: FilterTaps, combined: FilterTaps, alphabet,
+              snr_db: float) -> DiscreteChannel:
     """Assemble the observation model from explicit filter taps.
 
     ``combined`` is the full transmit-receive response; its span sets the
-    symbol memory L and noise memory N to span - 1 each.  The receive
-    filter ``g`` is center-cropped to N M + 1 taps for the noise band and
-    renormalized so the per-sample noise variance stays sigma2.
+    symbol memory L to span - 1.  The receive filter ``g`` is
+    center-cropped to L M + 1 taps for the noise band and renormalized so
+    the per-sample noise variance stays sigma2.
     """
     if isinstance(alphabet, str):
         alphabet = component_alphabet(alphabet)
     m = combined.oversampling
-    if v.oversampling != m or g.oversampling != m:
+    if g.oversampling != m:
         raise ValueError("all filters must share one sample grid")
-    if combined.taps.size % m:
+    taps = combined.taps
+    if taps.size % m:
         raise ValueError("combined response must fill whole symbol intervals")
-    span = combined.taps.size // m
+    span = taps.size // m
     if span % 2 == 0:
         raise ValueError("combined response must span an odd symbol count")
-    memory = noise_memory = span - 1
-    u = build_upsampling(memory, m)
-    h_mat = build_toeplitz(combined.taps, m, (memory + 2) * m - 1)
-    g_mat = build_toeplitz(_noise_filter(g, noise_memory * m + 1),
-                           m, (noise_memory + 1) * m)
+    memory = span - 1
+    # U puts window symbol j on sample j M + (M - 1) // 2, and row k of H
+    # reads the reversed response k samples on, so A[k, j] is the response
+    # at lag j M + (M - 1) // 2 - k, or zero past its last tap.
+    lags = (np.arange(memory + 1) * m + (m - 1) // 2
+            - np.arange(m)[:, None])
+    a_mat = np.pad(taps, (0, m))[taps.size - 1 - lags]
+    g_mat = build_toeplitz(_noise_filter(g, memory * m + 1),
+                           m, (memory + 1) * m)
     sigma2 = sigma2_from_snr_db(snr_db)
     r = sigma2 * (g_mat @ g_mat.T)
     r = 0.5 * (r + r.T)
-    return DiscreteChannel(
-        alphabet=alphabet, oversampling=m, memory=memory,
-        noise_memory=noise_memory, sigma2=sigma2,
-        v_taps=v, g_taps=g, h_taps=combined,
-        U=u, H=h_mat, G=g_mat, R=r, A=h_mat @ u)
+    return DiscreteChannel(alphabet=alphabet, oversampling=m, memory=memory,
+                           sigma2=sigma2, G=g_mat, R=r, A=a_mat)
 
 
-def assemble(spec: PulseSpec, alphabet, snr_db: float, *,
-             fine_factor: int = 16) -> DiscreteChannel:
+def assemble(spec: PulseSpec, alphabet, snr_db: float) -> DiscreteChannel:
     """Assemble the matched-filter model for a pulse family.
 
     The receive filter equals the transmit pulse and the combined response
-    is their convolution, evaluated on a grid refined by ``fine_factor``
-    to keep excess bandwidth out of the coarse taps.
+    is their convolution (see :func:`combined_response`).
     """
-    v = discretize(spec)
-    h = combined_response(spec, fine_factor=fine_factor)
-    return from_taps(v, v, h, alphabet, snr_db)
-
-
-def mean_vector(ch: DiscreteChannel, window: np.ndarray) -> np.ndarray:
-    """Noise-free sample means for one L + 1 symbol window."""
-    window = np.asarray(window, dtype=float)
-    if window.shape != (ch.memory + 1,):
-        raise ValueError(
-            f"window must hold {ch.memory + 1} symbols, got shape {window.shape}")
-    return ch.A @ window
-
-
-def dump_matrix_csv(matrix: np.ndarray, destination) -> None:
-    """Write a matrix as CSV, one row per line, full float precision."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(format(v, ".17g") for v in row) for row in matrix]
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    return from_taps(discretize(spec), combined_response(spec), alphabet,
+                     snr_db)

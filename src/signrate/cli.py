@@ -9,7 +9,7 @@ configuration so results are reproducible from the file alone.
 
 Exit codes are stable: 0 success, 2 usage or configuration errors,
 3 estimator refusals (with a machine-readable error object on standard
-output), 4 mismatched input files.
+output), 4 mismatched or malformed input files.
 """
 
 from __future__ import annotations

@@ -233,15 +233,31 @@ def sweep_csv_text(result: SweepResult) -> str:
 
 
 def load_sweep_csv(path) -> SweepResult:
-    """Read a sweep file, verifying the config echo and row keys."""
+    """Read a sweep file, verifying the config echo and row keys.
+
+    Anything but a sweep file of a valid grid (a config line that is not
+    JSON or not a whole grid, a row that does not parse) raises
+    :class:`GridMismatchError`.
+    """
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# config: "):
         raise GridMismatchError(f"{path}: missing sweep config line")
-    config = SweepConfig.from_dict(json.loads(lines[0][len("# config: "):]))
+    try:
+        config = SweepConfig.from_dict(
+            json.loads(lines[0][len("# config: "):]))
+    except (TypeError, ValueError) as err:
+        raise GridMismatchError(
+            f"{path}: malformed sweep config line: {err}") from None
     if len(lines) < 2 or lines[1] != SWEEP_HEADER:
         raise GridMismatchError(f"{path}: missing sweep header")
-    rows = [SweepRow.from_csv_line(ln) for ln in lines[2:]]
+    rows = []
+    for line in lines[2:]:
+        try:
+            rows.append(SweepRow.from_csv_line(line))
+        except ValueError:
+            raise GridMismatchError(
+                f"{path}: malformed sweep row: {line!r}") from None
     valid = set(config.cell_keys())
     seen = set()
     for row in rows:
@@ -317,23 +333,19 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
         if progress is not None:
             progress(len(done), total, key)
 
+    # The pool starts no thread until used, so one worker stays serial.
+    pool = ThreadPoolExecutor(max_workers=workers)
+    mapper = map if workers == 1 else pool.map
     try:
-        if workers == 1:
-            for key in todo:
-                finish(key, rate_for_config(config.cell(key)))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [(key, pool.submit(rate_for_config, config.cell(key)))
-                           for key in todo]
-                try:
-                    for key, fut in futures:
-                        finish(key, fut.result())
-                finally:
-                    pool.shutdown(cancel_futures=True)
+        cells = mapper(rate_for_config, map(config.cell, todo))
+        for key, res in zip(todo, cells):
+            finish(key, res)
     except BaseException:
         if pending:
             flush()
         raise
+    finally:
+        pool.shutdown(cancel_futures=True)
     flush()
     return load_sweep_csv(out_path)
 
@@ -425,9 +437,6 @@ class RegionMap:
     oversampling: int
     rows: tuple
 
-    def winners(self) -> set:
-        return {row.winner for row in self.rows}
-
 
 def region_compare(result: SweepResult, *, snr_db: float,
                    oversampling: int) -> RegionMap:
@@ -478,8 +487,4 @@ def write_region_csv(region: RegionMap, destination, *,
     for row in region.rows:
         lines.append(f"{row.beta!r},{row.ratio!r},{row.winner},"
                      f"{row.margin!r},{row.ftn_flag}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    Path(destination).write_text("\n".join(lines) + "\n")

@@ -116,10 +116,6 @@ class TransitionTable:
                 object.__setattr__(self, field, arr)
 
     @property
-    def n_inputs(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def n_outputs(self) -> int:
         return self.probs.shape[1]
 

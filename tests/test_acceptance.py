@@ -37,7 +37,7 @@ def _binary_channel(shape, ratio, span, m, snr_db):
     spec = PulseSpec("rrc", shape, ratio, span_symbols=span, oversampling=m)
     v = discretize(spec)
     g = delta_taps(span, m)
-    return from_taps(v, g, matched_combine(v, g, span), "4qam", snr_db)
+    return from_taps(g, matched_combine(v, g, span), "4qam", snr_db)
 
 
 @pytest.fixture(scope="module")

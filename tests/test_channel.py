@@ -1,16 +1,16 @@
 """Discrete receiver model tests.
 
 Groups:
- 1. Sampling offsets: closed-form positions, zero mean, uniform spacing.
- 2. Upsampling and banded (Toeplitz) matrices against hand-written layouts.
- 3. Mean operator H @ U against a hand convolution at L = 2, M = 2, and the
-    impulse-selects-center-symbol special case.
- 4. Per-component alphabets: values, priors, symbol energy, rejection.
- 5. Sign quantizer and observation index encoding.
- 6. Assembled channel: dimensions, covariance structure, read-only state.
+ 1. Banded (Toeplitz) matrices against hand-written layouts.
+ 2. Mean operator A against a hand convolution at L = 2, M = 2, the
+    impulse-selects-center-symbol special case, and the product H U of
+    an explicit upsampler and response matrix.
+ 3. Per-component alphabets: values, priors, symbol energy, rejection.
+ 4. Sign quantizer and observation bit order.
+ 5. Assembled channel: dimensions, covariance structure, read-only state.
 """
 
-import io
+import itertools
 
 import numpy as np
 import pytest
@@ -19,17 +19,11 @@ from signrate.channel import (
     ComponentAlphabet,
     DiscreteChannel,
     assemble,
-    bits_to_index,
     build_toeplitz,
-    build_upsampling,
     component_alphabet,
-    dump_matrix_csv,
     flip_index,
     from_taps,
-    index_to_bits,
-    mean_vector,
     quantize_1bit,
-    sampling_offsets,
     sigma2_from_snr_db,
 )
 from signrate.pulses import (
@@ -39,54 +33,11 @@ from signrate.pulses import (
     PulseSpec,
     combined_response,
     delta_taps,
-    discretize,
 )
+from signrate.transitions import enumerate_exact
 
 
-# -- Group 1: sampling offsets -------------------------------------------------
-
-def test_offsets_single_sample():
-    assert np.array_equal(sampling_offsets(1), np.array([0.0]))
-
-
-def test_offsets_fourfold():
-    assert np.allclose(sampling_offsets(4), [-0.375, -0.125, 0.125, 0.375],
-                       rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
-def test_offsets_centered_and_uniform(m):
-    o = sampling_offsets(m)
-    assert o.shape == (m,)
-    assert abs(np.mean(o)) < 1e-15
-    if m > 1:
-        assert np.allclose(np.diff(o), 1.0 / m, rtol=0, atol=1e-15)
-
-
-# -- Group 2: matrix builders ----------------------------------------------------
-
-def test_upsampling_identity_at_single_sample():
-    u = build_upsampling(8, 1)
-    assert u.shape == (9, 9)
-    assert np.array_equal(u, np.eye(9))
-
-
-def test_upsampling_row_placement():
-    u = build_upsampling(2, 2)
-    assert u.shape == (7, 3)
-    rows, cols = np.nonzero(u)
-    assert np.array_equal(cols, [0, 1, 2])
-    assert np.array_equal(rows, [0, 2, 4])
-    assert u.sum() == 3.0
-
-
-def test_upsampling_one_entry_per_column():
-    for m in (1, 2, 3, 4):
-        u = build_upsampling(8, m)
-        assert u.shape == ((8 + 2) * m - 1, 9)
-        assert np.array_equal(u.sum(axis=0), np.ones(9))
-        assert set(np.unique(u)) <= {0.0, 1.0}
-
+# -- Group 1: banded matrices ----------------------------------------------------
 
 def test_toeplitz_single_tap():
     t = build_toeplitz(np.array([1.0]), 1, 5)
@@ -111,43 +62,59 @@ def test_toeplitz_rejects_overlong_filter():
         build_toeplitz(np.arange(5.0), 3, 6)
 
 
-# -- Group 3: mean operator -------------------------------------------------------
+# -- Group 2: mean operator -------------------------------------------------------
 
 def test_mean_operator_matches_hand_convolution():
     # L = 2, M = 2: the window holds three symbols placed two samples apart,
     # and the two observation rows read the reversed response with a one
     # sample shift.  Everything below is written out by hand.
     h = FilterTaps(np.array([0.11, -0.2, 0.35, 1.0, 0.4, -0.15]), 2)
-    v = delta_taps(3, 2)
-    ch = from_taps(v, v, h, component_alphabet("4qam"), snr_db=10.0)
+    ch = from_taps(delta_taps(3, 2), h, component_alphabet("4qam"),
+                   snr_db=10.0)
     x = np.array([0.7, -1.1, 0.4])
     t = h.taps
     expect = np.array([
         x[0] * t[5] + x[1] * t[3] + x[2] * t[1],
         x[1] * t[4] + x[2] * t[2],
     ])
-    assert np.allclose(mean_vector(ch, x), expect, rtol=0, atol=1e-15)
+    assert np.allclose(ch.A @ x, expect, rtol=0, atol=1e-15)
 
 
 def test_impulse_response_selects_center_symbol():
     alpha = component_alphabet("4qam")
     for m in (1, 2):
-        v = delta_taps(9, m)
-        ch = from_taps(v, v, delta_taps(9, m), alpha, snr_db=5.0)
+        d = delta_taps(9, m)
+        ch = from_taps(d, d, alpha, snr_db=5.0)
         x = np.linspace(-1.0, 1.0, 9)
-        mu = mean_vector(ch, x)
+        mu = ch.A @ x
         assert mu.shape == (m,)
         assert mu[0] == pytest.approx(x[4], abs=1e-15)
         assert np.allclose(mu[1:], 0.0, atol=1e-15)
 
 
-def test_mean_vector_rejects_wrong_window():
-    ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22), "4qam", 10.0)
-    with pytest.raises(ValueError):
-        mean_vector(ch, np.zeros(4))
+def _upsampled_response(taps: np.ndarray, memory: int, m: int) -> np.ndarray:
+    """H U written out: U places window symbol j on sample j M + (M - 1) // 2
+    of the (L + 2) M - 1 sample grid, and H reads the combined response."""
+    u = np.zeros(((memory + 2) * m - 1, memory + 1))
+    u[np.arange(memory + 1) * m + (m - 1) // 2, np.arange(memory + 1)] = 1.0
+    h = build_toeplitz(taps, m, (memory + 2) * m - 1)
+    return h @ u
 
 
-# -- Group 4: alphabets ------------------------------------------------------------
+def test_mean_operator_equals_upsampled_response_product():
+    shapes = [(ROOT_RAISED_COSINE, 0.0), (ROOT_RAISED_COSINE, 0.22),
+              (ROOT_RAISED_COSINE, 1.0), (GAUSSIAN, 0.3), (GAUSSIAN, 1.0)]
+    for (family, shape), m, span, ratio in itertools.product(
+            shapes, (1, 2, 3, 4, 5), (1, 3, 9, 13), (1.0, 1.3, 2.0)):
+        spec = PulseSpec(family, shape, ratio, span_symbols=span,
+                         oversampling=m)
+        ch = assemble(spec, "4qam", 10.0)
+        expect = _upsampled_response(combined_response(spec).taps,
+                                     ch.memory, m)
+        assert np.array_equal(ch.A, expect), spec
+
+
+# -- Group 3: alphabets ------------------------------------------------------------
 
 def test_quaternary_component_levels():
     a = component_alphabet("4qam")
@@ -184,7 +151,7 @@ def test_alphabet_structural_validation():
         ComponentAlphabet("bad", np.array([-0.3, 0.1]), np.array([0.5, 0.5]))
 
 
-# -- Group 5: quantizer and indexing -------------------------------------------------
+# -- Group 4: quantizer and bit order -------------------------------------------------
 
 def test_quantizer_zero_goes_positive():
     assert quantize_1bit(0.0) == 1
@@ -200,22 +167,33 @@ def test_quantizer_odd_symmetry_off_zero():
 
 
 def test_observation_index_encoding():
-    # First sample is the least significant bit.
-    assert bits_to_index(np.array([1, -1, 1])) == 5
-    assert bits_to_index(np.array([-1, -1, -1])) == 0
-    assert bits_to_index(np.array([1, 1, 1])) == 7
-    assert np.array_equal(index_to_bits(5, 3), [1, -1, 1])
+    # The center symbol reaches sample 0 only; sample 1 is pure noise.  At
+    # 60 dB the sign of sample 0 is the sign of the level, so a +1 first
+    # sample must set bit 0 of the output index.
+    d = delta_taps(3, 2)
+    ch = from_taps(d, d, "4qam", snr_db=60.0)
+    assert np.array_equal(ch.A, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    probs = enumerate_exact(ch).probs
+    bit0 = (np.arange(4) & 1).astype(bool)
+    assert np.allclose(probs[1, bit0], 0.5, rtol=0, atol=1e-12)
+    assert np.allclose(probs[0, ~bit0], 0.5, rtol=0, atol=1e-12)
+    assert np.allclose(probs[1, ~bit0], 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(probs[0, bit0], 0.0, rtol=0, atol=1e-12)
+    # The -level row is the +level row read at the negated patterns.
+    assert np.array_equal(probs[0], probs[1, flip_index(np.arange(4), 2)])
 
 
 def test_index_roundtrip_and_flip():
     for m in (1, 2, 4):
         for idx in range(2 ** m):
-            bits = index_to_bits(idx, m)
-            assert bits_to_index(bits) == idx
-            assert flip_index(idx, m) == bits_to_index(-bits)
+            # Negating every sign sample clears each set bit and sets each
+            # clear one; negating twice restores the index.
+            negated = sum(((idx >> k) & 1 ^ 1) << k for k in range(m))
+            assert flip_index(idx, m) == negated
+            assert flip_index(flip_index(idx, m), m) == idx
 
 
-# -- Group 6: assembled channel -------------------------------------------------------
+# -- Group 5: assembled channel -------------------------------------------------------
 
 def test_snr_convention():
     assert sigma2_from_snr_db(0.0) == pytest.approx(1.0, rel=1e-15)
@@ -225,9 +203,7 @@ def test_snr_convention():
 
 def test_assembled_dimensions_oversampled():
     ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22, oversampling=4), "4qam", 10.0)
-    assert ch.memory == 8 and ch.noise_memory == 8
-    assert ch.U.shape == (39, 9)
-    assert ch.H.shape == (4, 39)
+    assert ch.memory == 8
     assert ch.G.shape == (4, 36)
     assert ch.R.shape == (4, 4)
     assert ch.A.shape == (4, 9)
@@ -249,8 +225,7 @@ def test_covariance_has_positive_neighbor_correlation():
 
 
 def test_identity_receive_filter_whitens():
-    v = discretize(PulseSpec(GAUSSIAN, 0.4, span_symbols=9, oversampling=2))
-    ch = from_taps(v, delta_taps(9, 2), combined_response(
+    ch = from_taps(delta_taps(9, 2), combined_response(
         PulseSpec(GAUSSIAN, 0.4, span_symbols=9, oversampling=2)), "4qam", 4.0)
     s2 = sigma2_from_snr_db(4.0)
     assert np.allclose(ch.R, s2 * np.eye(2), rtol=0, atol=1e-15)
@@ -263,17 +238,7 @@ def test_per_component_covariance_is_half():
 
 def test_channel_arrays_are_read_only():
     ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22), "4qam", 10.0)
-    for arr in (ch.U, ch.H, ch.G, ch.R, ch.A):
+    for arr in (ch.G, ch.R, ch.A):
         with pytest.raises(ValueError):
             arr[0, 0] = 9.9
 
-
-def test_matrix_dump_roundtrip():
-    ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22, oversampling=2), "4qam", 10.0)
-    buf = io.StringIO()
-    dump_matrix_csv(ch.H, buf)
-    text = buf.getvalue()
-    assert text.endswith("\n") and "\r" not in text
-    back = np.array([[float(v) for v in line.split(",")]
-                     for line in text.strip().splitlines()])
-    assert np.array_equal(back, ch.H)

@@ -14,6 +14,7 @@ import pytest
 
 from signrate.cli import main
 from signrate.pulses import eval_rrc
+from signrate.sweeps import SWEEP_HEADER
 
 
 def _run(capsys, argv):
@@ -281,6 +282,21 @@ def test_regions_mismatched_grids_exit_4(tmp_path, capsys):
         "--oversampling", "1", "--out", str(tmp_path / "r.csv")])
     assert code == 4
     assert "different grids" in stderr
+
+
+def test_malformed_sweep_file_exit_4(tmp_path, capsys):
+    # A config echo that lacks grid keys used to escape as a TypeError.
+    bad = tmp_path / "bad.csv"
+    bad.write_text('# config: {"family": "rrc"}\n' + SWEEP_HEADER + "\n")
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path)
+    for argv in (["regions", str(bad), "--snr-db", "5", "--oversampling", "1",
+                  "--out", str(tmp_path / "r.csv")],
+                 ["sweep", "--config", str(cfg_path), "--out", str(bad)]):
+        code, _, stderr = _run(capsys, argv)
+        assert code == 4
+        assert stderr.startswith(f"error: {bad}: ")
+        assert "Traceback" not in stderr
 
 
 def test_regions_missing_file_exit_2(tmp_path, capsys):

@@ -42,7 +42,7 @@ BSC_011_CAPACITY = 0.5000840418354720
 
 def _delta_channel(alphabet, snr_db, m=1, span=9):
     d = delta_taps(span, m)
-    return from_taps(d, d, d, alphabet, snr_db)
+    return from_taps(d, d, alphabet, snr_db)
 
 
 # -- Group 1: closed forms and structure -----------------------------------------
@@ -296,7 +296,7 @@ def test_stream_seed_ignores_estimator_and_budget():
 
 def test_block_bound_equality_without_memory():
     d = delta_taps(1, 1)
-    ch = from_taps(d, d, d, "4qam", snr_db=3.0)
+    ch = from_taps(d, d, "4qam", snr_db=3.0)
     report = block_entropy_bound(ch, 4)
     assert report.n_inputs == 16 and report.n_outputs == 16
     assert abs(report.gap) < 1e-9
@@ -307,7 +307,7 @@ def test_block_bound_equality_with_idle_samples():
     # A second sample per interval that carries no signal adds
     # independent noise only; the block still factorizes.
     d2 = delta_taps(3, 2)
-    ch = from_taps(d2, d2, d2, "4qam", snr_db=3.0)
+    ch = from_taps(d2, d2, "4qam", snr_db=3.0)
     report = block_entropy_bound(ch, 3)
     assert abs(report.gap) < 1e-9
 
@@ -317,7 +317,7 @@ def test_block_bound_positive_gap_with_overlap():
                      span_symbols=5, oversampling=1)
     h = combined_response(spec)
     d = delta_taps(5, 1)
-    ch = from_taps(d, d, h, "4qam", snr_db=8.0)
+    ch = from_taps(d, h, "4qam", snr_db=8.0)
     report = block_entropy_bound(ch, 4)
     assert report.gap > 1e-6
     assert report.marginal_entropy_sum > report.block_entropy
@@ -328,14 +328,14 @@ def test_block_bound_refuses_correlated_noise():
     v = combined_response(spec)
     from signrate.pulses import discretize
     g = discretize(spec)
-    ch = from_taps(g, g, v, "4qam", snr_db=8.0)
+    ch = from_taps(g, v, "4qam", snr_db=8.0)
     with pytest.raises(CorrelatedNoiseError):
         block_entropy_bound(ch, 2)
 
 
 def test_block_bound_refuses_blown_budget():
     d = delta_taps(1, 1)
-    ch = from_taps(d, d, d, "16qam", snr_db=3.0)
+    ch = from_taps(d, d, "16qam", snr_db=3.0)
     with pytest.raises(BudgetExceededError):
         block_entropy_bound(ch, 8, budget=1 << 10)
     with pytest.raises(ValueError):

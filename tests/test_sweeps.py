@@ -167,6 +167,18 @@ def test_load_rejects_foreign_rows(tmp_path):
     path.write_text("alphabet,M\n")
     with pytest.raises(GridMismatchError):
         load_sweep_csv(path)
+    # A config line that is not a whole grid or not JSON, and a row field
+    # that is not a number, name the file instead of leaking a TypeError
+    # or a bare ValueError.
+    header = f"{SWEEP_HEADER}\n"
+    bad_field = _row().to_csv_line().replace(",0.2,", ",zero,")
+    for text in ('# config: {"family": "rrc"}\n' + header,
+                 "# config: {not json\n" + header,
+                 good + bad_field + "\n"):
+        path.write_text(text)
+        with pytest.raises(GridMismatchError) as info:
+            load_sweep_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 # -- Group 3: running sweeps ------------------------------------------------------------
@@ -358,7 +370,7 @@ def test_region_compare_winners_and_flags():
     assert by_cell[(0.1, 1.25)].ftn_flag == 1
     assert by_cell[(0.1, 1.0)].ftn_flag == 0
     assert by_cell[(0.4, 1.25)].ftn_flag == 0
-    assert region.winners() == {"4qam", "16qam", "tie"}
+    assert {r.winner for r in region.rows} == {"4qam", "16qam", "tie"}
 
 
 def test_region_compare_requires_both_alphabets():

@@ -39,7 +39,7 @@ from signrate.transitions import (
 
 def _delta_channel(alphabet, snr_db, m=1, span=9):
     d = delta_taps(span, m)
-    return from_taps(d, d, d, alphabet, snr_db)
+    return from_taps(d, d, alphabet, snr_db)
 
 
 # -- Group 1: closed-form checks ---------------------------------------------------
