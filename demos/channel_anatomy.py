@@ -10,7 +10,7 @@ Run with ``python3 demos/channel_anatomy.py``.
 
 import numpy as np
 
-from signrate import PulseSpec, assemble, quantize_1bit
+from signrate import PulseSpec, assemble
 
 # -- Assembly -------------------------------------------------------------------
 #
@@ -59,4 +59,4 @@ x = np.full(ch.memory + 1, ch.alphabet.levels[-1])
 z = ch.A @ x
 print()
 print("noiseless samples for the all-ones window:", np.round(z, 4))
-print("their quantized signs:", quantize_1bit(z))
+print("their quantized signs:", np.where(z >= 0.0, 1, -1))

@@ -6,7 +6,7 @@ The point of the exercise: once rates are charged for the bandwidth
 they occupy, the best operating points sit at signaling ratios above
 one, where neighboring pulses deliberately overlap.
 
-Run with ``python3 demos/ftn_tradeoff.py`` (about a minute).
+Run with ``python3 demos/ftn_tradeoff.py`` (a few seconds).
 """
 
 import tempfile
@@ -18,7 +18,7 @@ from signrate import SweepConfig, find_optimum, region_compare, run_sweep
 #
 # Full study grids go through the command line tool and its resumable CSV
 # files; this demo keeps one SNR, one oversampling factor, and coarse axes
-# so it finishes in about a minute.
+# so it finishes in a few seconds.
 
 grid = SweepConfig(
     family="rrc",
@@ -32,9 +32,9 @@ grid = SweepConfig(
     seed=0,
 )
 
-out = Path(tempfile.mkdtemp()) / "tradeoff.csv"
-result = run_sweep(grid, out, workers=4)
-print(f"swept {grid.n_cells()} cells into {out}")
+with tempfile.TemporaryDirectory() as tmp:
+    result = run_sweep(grid, Path(tmp) / "tradeoff.csv", workers=4)
+print(f"swept {grid.n_cells()} cells")
 
 # -- Where each alphabet peaks ---------------------------------------------------------
 #

@@ -17,7 +17,6 @@ from .channel import (
     assemble,
     component_alphabet,
     from_taps,
-    quantize_1bit,
 )
 from .config import RunConfig
 from .errors import (
@@ -45,7 +44,6 @@ from .rates import (
     rate_from_table,
 )
 from .sweeps import (
-    Optimum,
     RegionMap,
     RegionRow,
     SweepConfig,
@@ -75,7 +73,6 @@ __all__ = [
     "DiscreteChannel",
     "FilterTaps",
     "GridMismatchError",
-    "Optimum",
     "PulseSpec",
     "QuadratureToleranceError",
     "RateResult",
@@ -103,7 +100,6 @@ __all__ = [
     "matched_combine",
     "mc_estimate",
     "merge_sweeps",
-    "quantize_1bit",
     "rate_for_config",
     "rate_from_table",
     "region_compare",

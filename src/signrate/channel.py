@@ -40,7 +40,6 @@ __all__ = [
     "component_alphabet",
     "flip_index",
     "from_taps",
-    "quantize_1bit",
     "sigma2_from_snr_db",
 ]
 
@@ -68,15 +67,6 @@ def build_toeplitz(taps: np.ndarray, rows: int, cols: int) -> np.ndarray:
     rev = taps[::-1]
     for r in range(rows):
         out[r, r:r + taps.size] = rev
-    return out
-
-
-def quantize_1bit(z):
-    """Sign quantizer mapping z >= 0 to +1 and z < 0 to -1."""
-    arr = np.asarray(z)
-    out = np.where(arr >= 0.0, 1, -1).astype(np.int8)
-    if arr.ndim == 0:
-        return int(out)
     return out
 
 

@@ -41,13 +41,16 @@ _PULSE_FLAGS = (
     ("oversampling", "oversampling"),
 )
 
-_RATE_FLAGS = _PULSE_FLAGS + (
-    ("alphabet", "alphabet"),
-    ("snr_db", "snr_db"),
+_ESTIMATOR_FLAGS = (
     ("estimator", "estimator"),
     ("samples", "samples"),
     ("seed", "seed"),
 )
+
+_RATE_FLAGS = _PULSE_FLAGS + (
+    ("alphabet", "alphabet"),
+    ("snr_db", "snr_db"),
+) + _ESTIMATOR_FLAGS
 
 
 def _load_config_file(path) -> dict:
@@ -186,12 +189,9 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data = _load_config_file(args.config)
+    data = _merge_flags(_load_config_file(args.config), args,
+                        _ESTIMATOR_FLAGS)
     out = _resolve_out(args, data, required=True)
-    for flag in ("estimator", "samples", "seed"):
-        value = getattr(args, flag)
-        if value is not None:
-            data[flag] = value
     try:
         grid = SweepConfig.from_dict(data)
     except TypeError as err:

@@ -48,8 +48,31 @@ def _as_float(name: str, value) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+class _CanonicalConfig:
+    """Dict and canonical JSON round trip of a configuration dataclass."""
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(data) - fields
+        if unknown:
+            raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+        return cls(**data)
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    def canonical_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
+
+    def fingerprint(self) -> str:
+        digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return digest[:16]
+
+
 @dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_CanonicalConfig):
     family: str
     shape: float
     signaling_ratio: float
@@ -84,14 +107,6 @@ class RunConfig:
         if self.schema_version != 1:
             raise ValueError(f"unsupported schema version {self.schema_version}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-        return cls(**data)
-
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
 
@@ -100,17 +115,6 @@ class RunConfig:
                          signaling_ratio=self.signaling_ratio,
                          span_symbols=self.span_symbols,
                          oversampling=self.oversampling)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
-        return digest[:16]
 
     def stream_seed(self) -> int:
         """Seed for the cell's sample stream, independent of the budget."""

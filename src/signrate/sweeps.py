@@ -20,21 +20,20 @@ bandwidth-normalized best (shape, ratio) cell for one alphabet, and
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, _as_float, _as_int
+from .config import RunConfig, _CanonicalConfig
 from .errors import GridMismatchError
 from .rates import RateResult, rate_for_config
 
 __all__ = [
-    "Optimum",
     "RegionMap",
     "RegionRow",
     "SweepConfig",
@@ -53,9 +52,14 @@ __all__ = [
 SWEEP_HEADER = "alphabet,M,pulse,beta,ratio,snr_db,rate_bpcu,rate_3db,stderr,samples,seed"
 REGION_HEADER = "beta,ratio,winner,margin,ftn_flag"
 
+# (SweepConfig axis, RunConfig field) pairs in the canonical cell order,
+# outer to inner.
+_AXES = (("alphabets", "alphabet"), ("oversampling", "oversampling"),
+         ("beta", "shape"), ("ratio", "signaling_ratio"), ("snr_db", "snr_db"))
+
 
 @dataclasses.dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_CanonicalConfig):
     """Factorial grid of rate evaluation points.
 
     ``beta`` holds the pulse shape axis (roll-off for the raised-cosine
@@ -76,77 +80,44 @@ class SweepConfig:
     schema_version: int = 1
 
     def __post_init__(self):
-        # Numbers get RunConfig's types, so a grid typed with 2.0 or 10
-        # echoes and fingerprints like one typed with 2 or 10.0.
-        for name, cast in (("beta", _as_float), ("ratio", _as_float),
-                           ("snr_db", _as_float), ("oversampling", _as_int),
-                           ("alphabets", None)):
-            values = tuple(getattr(self, name))
-            if cast is not None:
-                values = tuple(cast(name, value) for value in values)
-            if not values:
-                raise ValueError(f"axis {name!r} must not be empty")
-            if len(set(values)) != len(values):
-                raise ValueError(f"axis {name!r} has duplicate values")
-            object.__setattr__(self, name, values)
-        for name in ("span_symbols", "samples", "seed"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        # One probe cell per axis value runs RunConfig's validation (pulse
-        # parameters, alphabet, estimator, budgets) on every value before
-        # any cell runs, at a cost of the summed axis lengths.
+        for axis, _ in _AXES:
+            object.__setattr__(self, axis, tuple(getattr(self, axis)))
+            if not getattr(self, axis):
+                raise ValueError(f"axis {axis!r} must not be empty")
+        # Every value is read back from a probe cell, so RunConfig alone
+        # types the numbers (a grid typed with 2.0 or 10 echoes and
+        # fingerprints like one typed with 2 or 10.0) and validates every
+        # axis value (pulse parameters, alphabet, estimator, budgets)
+        # before any cell runs, at a cost of the summed axis lengths.
         base = next(iter(self.cells()))
-        for field, axis in (("alphabet", self.alphabets),
-                            ("oversampling", self.oversampling),
-                            ("shape", self.beta),
-                            ("signaling_ratio", self.ratio),
-                            ("snr_db", self.snr_db)):
-            for value in axis[1:]:
-                base.replace(**{field: value})
+        for name in ("span_symbols", "samples", "seed"):
+            object.__setattr__(self, name, getattr(base, name))
+        for axis, field in _AXES:
+            values = (getattr(base, field),) + tuple(
+                getattr(base.replace(**{field: value}), field)
+                for value in getattr(self, axis)[1:])
+            if len(set(values)) != len(values):
+                raise ValueError(f"axis {axis!r} has duplicate values")
+            object.__setattr__(self, axis, values)
 
     def cell_keys(self):
         """All cell keys (alphabet, M, shape, ratio, SNR), in the canonical
         order; they equal the keys of the cells' :class:`SweepRow`."""
-        return itertools.product(self.alphabets, self.oversampling,
-                                 self.beta, self.ratio, self.snr_db)
+        return itertools.product(*(getattr(self, axis) for axis, _ in _AXES))
 
     def cell(self, key: tuple) -> RunConfig:
         """The configuration of the cell with ``key``."""
-        alphabet, m, shape, ratio, snr = key
-        return RunConfig(family=self.family, shape=shape,
-                         signaling_ratio=ratio, oversampling=m,
-                         alphabet=alphabet, snr_db=snr,
-                         span_symbols=self.span_symbols,
+        return RunConfig(family=self.family, span_symbols=self.span_symbols,
                          estimator=self.estimator, samples=self.samples,
-                         seed=self.seed)
+                         seed=self.seed,
+                         **{field: v for (_, field), v in zip(_AXES, key)})
 
     def cells(self):
         """All cell configurations, in the canonical order."""
         return map(self.cell, self.cell_keys())
 
     def n_cells(self) -> int:
-        return (len(self.alphabets) * len(self.oversampling) * len(self.beta)
-                * len(self.ratio) * len(self.snr_db))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for name in ("beta", "ratio", "snr_db", "oversampling", "alphabets"):
-            out[name] = list(out[name])
-        return out
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        return math.prod(len(getattr(self, axis)) for axis, _ in _AXES)
 
 
 def default_grid(*, estimator: str = "mc", samples: int = 1000000,
@@ -235,11 +206,14 @@ def sweep_csv_text(result: SweepResult) -> str:
 def load_sweep_csv(path) -> SweepResult:
     """Read a sweep file, verifying the config echo and row keys.
 
-    Anything but a sweep file of a valid grid (a config line that is not
-    JSON or not a whole grid, a row that does not parse) raises
-    :class:`GridMismatchError`.
+    Anything but a sweep file of a valid grid (text that does not decode,
+    a config line that is not JSON or not a whole grid, a row that does
+    not parse) raises :class:`GridMismatchError`.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise GridMismatchError(f"{path}: not a text file: {err}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# config: "):
         raise GridMismatchError(f"{path}: missing sweep config line")
@@ -382,23 +356,9 @@ def _require_complete(result: SweepResult, cells) -> None:
             f"sweep is missing {len(missing)} cells: {shown}{more}")
 
 
-@dataclasses.dataclass(frozen=True)
-class Optimum:
-    """Best bandwidth-normalized cell of one grid slice."""
-
-    alphabet: str
-    oversampling: int
-    snr_db: float
-    beta: float
-    ratio: float
-    rate_bpcu: float
-    rate_3db: float
-    stderr: float
-
-
 def find_optimum(result: SweepResult, *, alphabet: str, oversampling: int,
-                 snr_db: float) -> Optimum:
-    """Pick the (shape, ratio) cell maximizing the normalized rate.
+                 snr_db: float) -> SweepRow:
+    """The row of the slice's (shape, ratio) cell of best normalized rate.
 
     The slice must be complete.  Exact rate ties resolve toward the
     smaller ratio, then the smaller shape value, so the reported optimum
@@ -415,11 +375,7 @@ def find_optimum(result: SweepResult, *, alphabet: str, oversampling: int,
     _require_complete(result, cells)
     by_key = result.by_key()
     rows = [by_key[key] for key in cells]
-    best = min(rows, key=lambda row: (-row.rate_3db, row.ratio, row.beta))
-    return Optimum(alphabet=alphabet, oversampling=oversampling,
-                   snr_db=snr_db, beta=best.beta, ratio=best.ratio,
-                   rate_bpcu=best.rate_bpcu, rate_3db=best.rate_3db,
-                   stderr=best.stderr)
+    return min(rows, key=lambda row: (-row.rate_3db, row.ratio, row.beta))
 
 
 @dataclasses.dataclass(frozen=True)

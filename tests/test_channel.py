@@ -6,7 +6,7 @@ Groups:
     impulse-selects-center-symbol special case, and the product H U of
     an explicit upsampler and response matrix.
  3. Per-component alphabets: values, priors, symbol energy, rejection.
- 4. Sign quantizer and observation bit order.
+ 4. Observation bit order.
  5. Assembled channel: dimensions, covariance structure, read-only state.
 """
 
@@ -23,7 +23,6 @@ from signrate.channel import (
     component_alphabet,
     flip_index,
     from_taps,
-    quantize_1bit,
     sigma2_from_snr_db,
 )
 from signrate.pulses import (
@@ -151,20 +150,7 @@ def test_alphabet_structural_validation():
         ComponentAlphabet("bad", np.array([-0.3, 0.1]), np.array([0.5, 0.5]))
 
 
-# -- Group 4: quantizer and bit order -------------------------------------------------
-
-def test_quantizer_zero_goes_positive():
-    assert quantize_1bit(0.0) == 1
-    assert np.array_equal(quantize_1bit(np.array([-0.0, 0.0, -1e-300, 2.0])),
-                          [1, 1, -1, 1])
-
-
-def test_quantizer_odd_symmetry_off_zero():
-    rng = np.random.default_rng(7)
-    z = rng.standard_normal(256)
-    z = z[z != 0.0]
-    assert np.array_equal(quantize_1bit(z), -quantize_1bit(-z))
-
+# -- Group 4: bit order -------------------------------------------------
 
 def test_observation_index_encoding():
     # The center symbol reaches sample 0 only; sample 1 is pure noise.  At

@@ -288,15 +288,19 @@ def test_malformed_sweep_file_exit_4(tmp_path, capsys):
     # A config echo that lacks grid keys used to escape as a TypeError.
     bad = tmp_path / "bad.csv"
     bad.write_text('# config: {"family": "rrc"}\n' + SWEEP_HEADER + "\n")
+    # Bytes that are not text used to exit 2 with a bare codec message.
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00bad")
     cfg_path = tmp_path / "grid.json"
     _write_grid(cfg_path)
-    for argv in (["regions", str(bad), "--snr-db", "5", "--oversampling", "1",
-                  "--out", str(tmp_path / "r.csv")],
-                 ["sweep", "--config", str(cfg_path), "--out", str(bad)]):
-        code, _, stderr = _run(capsys, argv)
-        assert code == 4
-        assert stderr.startswith(f"error: {bad}: ")
-        assert "Traceback" not in stderr
+    for path in (bad, binary):
+        for argv in (["regions", str(path), "--snr-db", "5",
+                      "--oversampling", "1", "--out", str(tmp_path / "r.csv")],
+                     ["sweep", "--config", str(cfg_path), "--out", str(path)]):
+            code, _, stderr = _run(capsys, argv)
+            assert code == 4
+            assert stderr.startswith(f"error: {path}: ")
+            assert "Traceback" not in stderr
 
 
 def test_regions_missing_file_exit_2(tmp_path, capsys):

@@ -15,9 +15,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the files a demo leaves in its temp dir under pytest's.
+    # TMPDIR points a demo's temp files into pytest's, which must be left
+    # empty: a demo cleans up after itself.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "TMPDIR": str(tmp_path)}
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -167,15 +167,16 @@ def test_load_rejects_foreign_rows(tmp_path):
     path.write_text("alphabet,M\n")
     with pytest.raises(GridMismatchError):
         load_sweep_csv(path)
-    # A config line that is not a whole grid or not JSON, and a row field
-    # that is not a number, name the file instead of leaking a TypeError
-    # or a bare ValueError.
+    # A config line that is not a whole grid or not JSON, a row field that
+    # is not a number, and bytes that are not text name the file instead
+    # of leaking a TypeError or a bare ValueError.
     header = f"{SWEEP_HEADER}\n"
     bad_field = _row().to_csv_line().replace(",0.2,", ",zero,")
-    for text in ('# config: {"family": "rrc"}\n' + header,
-                 "# config: {not json\n" + header,
-                 good + bad_field + "\n"):
-        path.write_text(text)
+    for data in (('# config: {"family": "rrc"}\n' + header).encode(),
+                 ("# config: {not json\n" + header).encode(),
+                 (good + bad_field + "\n").encode(),
+                 b"\xff\xfe\x00bad"):
+        path.write_bytes(data)
         with pytest.raises(GridMismatchError) as info:
             load_sweep_csv(path)
         assert str(info.value).startswith(f"{path}: ")
@@ -216,6 +217,36 @@ def test_run_sweep_is_deterministic_and_resumable(tmp_path):
     # Rerunning a complete file leaves it untouched.
     run_sweep(grid, second)
     assert second.read_bytes() == bytes_first
+
+
+# A resumed sweep mixes rows written by the code that started it and the
+# code that finishes it, so the full text of a small Monte Carlo sweep is
+# pinned: a change to the MC stream, the rate arithmetic, the number
+# spelling or the config echo shows up here.
+PINNED_SWEEP_CSV = """\
+# config: {"alphabets":["4qam","16qam"],"beta":[0.5],"estimator":"mc","family":"rrc","oversampling":[1,2],"ratio":[1.25],"samples":100000,"schema_version":1,"seed":7,"snr_db":[10.0,25.0],"span_symbols":9}
+alphabet,M,pulse,beta,ratio,snr_db,rate_bpcu,rate_3db,stderr,samples,seed
+4qam,1,rrc,0.5,1.25,10.0,1.8194948629302994,2.274368578662874,0.0070076721648560936,100000,7
+4qam,1,rrc,0.5,1.25,25.0,2.0,2.5,0.0,100000,7
+4qam,2,rrc,0.5,1.25,10.0,1.8224950302210203,2.2781187877762754,0.0032225451440088815,100000,7
+4qam,2,rrc,0.5,1.25,25.0,2.0,2.5,0.0,100000,7
+16qam,1,rrc,0.5,1.25,10.0,1.3485717971538693,1.6857147464423368,0.01120090615974667,100000,7
+16qam,1,rrc,0.5,1.25,25.0,1.564962362890404,1.9562029536130048,0.0038530608083370277,100000,7
+16qam,2,rrc,0.5,1.25,10.0,1.4065931678404104,1.7582414598005132,0.0006433521290573063,100000,7
+16qam,2,rrc,0.5,1.25,25.0,1.659080262785336,2.07385032848167,0.0030829732076791405,100000,7
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_reproduces_pinned_csv(tmp_path, workers):
+    # Axes spelled as a hand-written grid file might spell them.
+    grid = SweepConfig.from_dict({
+        "family": "rrc", "beta": [0.5], "ratio": [1.25],
+        "snr_db": [10, 25], "oversampling": [1.0, 2],
+        "alphabets": ["4qam", "16qam"], "samples": 100000, "seed": 7})
+    out = tmp_path / "sweep.csv"
+    run_sweep(grid, out, workers=workers)
+    assert out.read_text() == PINNED_SWEEP_CSV
 
 
 def test_failed_flush_keeps_previous_file_resumable(tmp_path, monkeypatch):
@@ -317,7 +348,7 @@ def _synthetic_result():
 def test_find_optimum_picks_best_normalized_rate():
     result = _synthetic_result()
     best = find_optimum(result, alphabet="4qam", oversampling=1, snr_db=5.0)
-    assert (best.beta, best.ratio) == (0.2, 1.25)
+    assert best == result.by_key()[("4qam", 1, 0.2, 1.25, 5.0)]
     assert best.rate_3db == pytest.approx(1.10 * 1.25)
     best16 = find_optimum(result, alphabet="16qam", oversampling=1, snr_db=5.0)
     assert best16.rate_3db == pytest.approx(1.30 * 1.25)
