@@ -2,8 +2,9 @@
 
 Evaluates a single configuration with the Monte Carlo estimator and the
 exact enumerator, checks that they agree within the reported error bar,
-shows what a refusal looks like, and closes with the block-entropy
-check behind the per-symbol rate bound.
+does the same at four samples per interval, shows what a refusal looks
+like, and closes with the block-entropy check behind the per-symbol rate
+bound.
 
 Run with ``python3 demos/rate_point.py``.
 """
@@ -37,20 +38,31 @@ print(f"enumerated:  {exact.rate_bpcu:.5f} bpcu (exact)")
 print(f"difference:  {abs(mc.rate_bpcu - exact.rate_bpcu) / mc.stderr:.2f} "
       "standard errors")
 
+# -- Four samples per interval, still exact -----------------------------------------
+#
+# At M = 4 the matched filter correlates the noise of all four samples.
+# The enumerator integrates Plackett's identity over one smooth variable,
+# checked against a second node rule, so this point is exact too.
+
+m4 = {**base, "oversampling": 4, "span_symbols": 9}
+mc4 = rate_for_config(RunConfig(**m4, estimator="mc", samples=1_000_000))
+exact4 = rate_for_config(RunConfig(**m4, estimator="enum"))
+
+print()
+print(f"M = 4 monte carlo: {mc4.rate_bpcu:.5f} bpcu +- {mc4.stderr:.5f}")
+print(f"M = 4 enumerated:  {exact4.rate_bpcu:.5f} bpcu (exact)")
+
 # -- Refusals instead of silent degradation ----------------------------------------
 #
-# Exact enumeration closes a correlated pair of samples in form and
-# integrates over a third with fixed Gauss-Legendre rules, checked
-# against a coarser rule, so correlated noise is only handled up to
-# three samples per interval; beyond that the library refuses loudly
-# rather than approximating.
+# Correlated noise is integrated exactly up to four samples per interval;
+# beyond that the library refuses loudly rather than approximating.
 
 print()
 try:
-    rate_for_config(RunConfig(**{**base, "oversampling": 4},
+    rate_for_config(RunConfig(**{**base, "oversampling": 5},
                               estimator="enum"))
 except CorrelatedNoiseError as err:
-    print(f"enum at M = 4 refuses: {err}")
+    print(f"enum at M = 5 refuses: {err}")
 
 # -- Why the per-symbol table is a lower bound --------------------------------------
 #

@@ -71,7 +71,9 @@ def _merge_flags(data: dict, args, pairs) -> dict:
 
 
 def _resolve_out(args, data: dict, required: bool):
-    out = args.out if args.out is not None else data.pop("out", None)
+    out = data.pop("out", None)
+    if args.out is not None:
+        out = args.out
     if required and out is None:
         raise ValueError("an output path is required (--out)")
     return None if out is None else Path(out)

@@ -22,9 +22,10 @@ class CorrelatedNoiseError(RefusalError):
 class QuadratureToleranceError(RuntimeError):
     """Exact enumeration could not certify its quadrature to the tolerance.
 
-    ``achieved`` is the largest difference between the tables computed
-    at two node counts, or the largest deviation of a window's or
-    a table row's probabilities from a sum of one.
+    ``achieved`` is the largest deviation of a window's or a table row's
+    probabilities from a sum of one or, for tables whose kernel
+    integrates (correlated noise at M = 3 or 4), the largest difference
+    between the tables computed at two node counts.
     """
 
     def __init__(self, achieved: float, requested: float):

@@ -29,9 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import assemble, component_alphabet
 from .config import RunConfig, _CanonicalConfig
 from .errors import GridMismatchError
 from .rates import RateResult, rate_for_config
+from .transitions import (ENUM_BUDGET, _check_budget, _check_integrable,
+                          component_cholesky)
 
 __all__ = [
     "RegionMap",
@@ -109,7 +112,7 @@ class SweepConfig(_CanonicalConfig):
         """The configuration of the cell with ``key``."""
         return RunConfig(family=self.family, span_symbols=self.span_symbols,
                          estimator=self.estimator, samples=self.samples,
-                         seed=self.seed,
+                         seed=self.seed, schema_version=self.schema_version,
                          **{field: v for (_, field), v in zip(_AXES, key)})
 
     def cells(self):
@@ -256,6 +259,28 @@ def _replace_text(path: Path, text: str) -> None:
         raise
 
 
+def _refuse_infeasible_enum(config: SweepConfig) -> None:
+    """Raise the refusal of the first cell of an enum grid that
+    :func:`enumerate_exact` would refuse, before any cell runs.
+
+    The budget depends only on alphabet, M and span (an assembled channel
+    remembers span - 1 symbols); the correlated-noise check runs on one
+    assembled channel per distinct (shape, ratio, M).
+    """
+    if config.estimator != "enum":
+        return
+    checked = set()
+    for key in config.cell_keys():
+        alphabet, m, shape, ratio, _ = key
+        _check_budget(component_alphabet(alphabet).size,
+                      config.span_symbols - 1, m, ENUM_BUDGET)
+        if (shape, ratio, m) not in checked:
+            checked.add((shape, ratio, m))
+            cell = config.cell(key)
+            ch = assemble(cell.pulse_spec(), cell.alphabet, cell.snr_db)
+            _check_integrable(component_cholesky(ch))
+
+
 def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
               flush_every: int = 1, progress=None) -> SweepResult:
     """Evaluate a grid, resuming from ``out_path`` when it already exists.
@@ -267,7 +292,9 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     file is rewritten in canonical order after every ``flush_every``
     completions, so an interrupted run loses at most that many cells.
     Each rewrite replaces the file whole, so a write that fails part-way
-    leaves the previous version loadable.
+    leaves the previous version loadable.  An enum grid with a cell that
+    exact enumeration would refuse raises that cell's refusal before any
+    cell runs or the file is written.
     ``progress`` is called after every newly computed cell with
     (completed cells, total cells, cell key).  Results are recorded in
     the canonical order, so every rewrite holds the same rows on every
@@ -286,6 +313,7 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
                 f"grid (stored {previous.config.fingerprint()}, "
                 f"requested {config.fingerprint()})")
         done = previous.by_key()
+    _refuse_infeasible_enum(config)
 
     todo = [key for key in config.cell_keys() if key not in done]
     total = config.n_cells()

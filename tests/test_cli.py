@@ -171,12 +171,38 @@ def test_rate_config_float_oversampling(tmp_path, capsys, oversampling, code):
 
 def test_rate_refusal_is_machine_readable(capsys):
     code, stdout, _ = _run(capsys, [
-        "rate", "--family", "rrc", "--shape", "0.22", "--oversampling", "4",
+        "rate", "--family", "rrc", "--shape", "0.22", "--oversampling", "5",
         "--alphabet", "4qam", "--snr-db", "10", "--estimator", "enum"])
     assert code == 3
     payload = json.loads(stdout)
     assert payload["error"]["type"] == "CorrelatedNoiseError"
     assert "message" in payload["error"]
+
+
+def test_out_flag_beats_config_out(tmp_path, capsys):
+    # An "out" key in the configuration file used to reach the config
+    # constructor, and exit 2 as an unknown key, whenever --out was given.
+    stale, fresh = tmp_path / "stale.json", tmp_path / "fresh.json"
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps({
+        "family": "rrc", "shape": 0.22, "oversampling": 1,
+        "alphabet": "4qam", "snr_db": 10.0, "estimator": "enum",
+        "out": str(stale)}))
+    code, stdout, _ = _run(capsys, ["rate", "--config", str(cfg),
+                                    "--out", str(fresh)])
+    assert code == 0
+    assert fresh.read_text() == stdout
+    assert not stale.exists()
+
+    grid_cfg = tmp_path / "grid.json"
+    grid = _write_grid(grid_cfg)
+    grid_cfg.write_text(json.dumps({**grid, "out": str(tmp_path / "a.csv")}))
+    out = tmp_path / "b.csv"
+    code, _, _ = _run(capsys, ["sweep", "--config", str(grid_cfg),
+                               "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 2 + 4
+    assert not (tmp_path / "a.csv").exists()
 
 
 # -- Group 3: sweep ------------------------------------------------------------------
@@ -220,6 +246,29 @@ def test_sweep_refuses_invalid_axis_value(tmp_path, capsys, overrides,
                                     "--out", str(out)])
     assert code == 2
     assert message in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, refusal", [
+    ({"oversampling": [2, 5], "alphabets": ["4qam"]},
+     {"type": "CorrelatedNoiseError"}),
+    ({"span_symbols": 13},
+     {"type": "BudgetExceededError", "required": 4 ** 13 * 2,
+      "budget": 1 << 26}),
+])
+def test_sweep_refuses_infeasible_enum_grid_up_front(tmp_path, capsys,
+                                                     overrides, refusal):
+    # The first cells (M = 2, or 4qam) are feasible; the grid used to
+    # write them and only then exit 3 at the cell that refused.
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path, **overrides)
+    out = tmp_path / "grid.csv"
+    code, stdout, stderr = _run(capsys, ["sweep", "--config", str(cfg_path),
+                                         "--out", str(out)])
+    assert code == 3
+    payload = json.loads(stdout)["error"]
+    assert {key: payload[key] for key in refusal} == refusal
+    assert "[1/" not in stderr
     assert not out.exists()
 
 
@@ -301,6 +350,22 @@ def test_malformed_sweep_file_exit_4(tmp_path, capsys):
             assert code == 4
             assert stderr.startswith(f"error: {path}: ")
             assert "Traceback" not in stderr
+
+
+def test_sweep_file_of_unknown_schema_exit_4(tmp_path, capsys):
+    # A grid echo with another schema version used to load and resume.
+    grid = _write_grid(tmp_path / "grid.json")
+    future = tmp_path / "future.csv"
+    future.write_text(f"# config: {json.dumps({**grid, 'schema_version': 2})}"
+                      f"\n{SWEEP_HEADER}\n")
+    for argv in (["regions", str(future), "--snr-db", "5",
+                  "--oversampling", "1", "--out", str(tmp_path / "r.csv")],
+                 ["sweep", "--config", str(tmp_path / "grid.json"),
+                  "--out", str(future)]):
+        code, _, stderr = _run(capsys, argv)
+        assert code == 4
+        assert stderr.startswith(f"error: {future}: ")
+        assert "unsupported schema version 2" in stderr
 
 
 def test_regions_missing_file_exit_2(tmp_path, capsys):

@@ -171,6 +171,27 @@ def test_rate_for_config_mc_path_matches_exact():
     assert abs(mc.rate_bpcu - exact.rate_bpcu) < 4.0 * mc.stderr
 
 
+@pytest.fixture(scope="module")
+def exact_twins():
+    """1M-sample Monte Carlo and exact rates of 4qam M = 4 cells (span 9,
+    correlated noise), computed once for the module."""
+    twins = []
+    for shape in (0.22, 0.5):
+        for snr_db in (10.0, 25.0):
+            cfg = RunConfig("rrc", shape, 1.2, 4, "4qam", snr_db,
+                            samples=1_000_000, seed=0)
+            twins.append((cfg, rate_for_config(cfg, workers=2),
+                          rate_for_config(cfg.replace(estimator="enum"))))
+    return twins
+
+
+def test_mc_rates_match_exact_twins_at_m4(exact_twins):
+    # A saturated cell reports se = 0, hence the 1e-9 floor.
+    for cfg, mc, exact in exact_twins:
+        bound = max(3.0 * mc.stderr, 1e-9)
+        assert abs(mc.rate_bpcu - exact.rate_bpcu) <= bound, (cfg, mc, exact)
+
+
 def test_rate_3db_weights_by_signaling_ratio():
     res = rate_for_config(_config(signaling_ratio=1.25))
     assert res.rate_3db == pytest.approx(1.25 * res.rate_bpcu, rel=1e-15)

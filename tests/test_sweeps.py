@@ -90,6 +90,9 @@ def test_sweep_config_validation():
         _tiny_sweep(estimator="exact")
     with pytest.raises(ValueError):
         SweepConfig.from_dict({"family": "rrc", "betas": [0.1]})
+    # The probe cells check the schema version, as RunConfig does.
+    with pytest.raises(ValueError, match="unsupported schema version 2"):
+        _tiny_sweep(schema_version=2)
 
 
 def test_sweep_config_validates_every_axis_value():

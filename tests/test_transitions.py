@@ -18,13 +18,14 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
+from signrate import transitions
 from signrate.channel import assemble, component_alphabet, flip_index, from_taps
 from signrate.errors import (
     BudgetExceededError,
     CorrelatedNoiseError,
     QuadratureToleranceError,
 )
-from signrate.pulses import ROOT_RAISED_COSINE, PulseSpec, delta_taps
+from signrate.pulses import GAUSSIAN, ROOT_RAISED_COSINE, PulseSpec, delta_taps
 from signrate.transitions import (
     _BLOCK_SAMPLES,
     CHUNK_SAMPLES,
@@ -77,7 +78,10 @@ def _reference_table(ch):
 
     scipy integrates three or more dimensions by randomized quasi-Monte
     Carlo to about 1e-5; a fixed generator keeps the reference
-    reproducible.
+    reproducible.  Windows centered on the upper half of the levels are
+    the sign flips of the lower half's (negating the window flips every
+    sign, and the sign symmetry test pins that), so only the lower half
+    is integrated and the upper rows are mirrored.
     """
     rng = np.random.default_rng(0)
     alpha = ch.alphabet
@@ -87,6 +91,8 @@ def _reference_table(ch):
     for flat in range(alpha.size ** length):
         digits = np.unravel_index(flat, (alpha.size,) * length)
         digits = np.array(digits)
+        if digits[ch.memory // 2] >= (alpha.size + 1) // 2:
+            continue
         mu = alpha.levels[digits] @ ch.A.T
         weight = np.prod(alpha.priors[digits]) / alpha.priors[digits[ch.memory // 2]]
         for y in range(1 << m):
@@ -95,10 +101,13 @@ def _reference_table(ch):
             p = multivariate_normal(mean=np.zeros(m), cov=cov,
                                     seed=rng).cdf(signs * mu)
             probs[digits[ch.memory // 2], y] += weight * p
+    flipped = flip_index(np.arange(1 << m), m)
+    for i in range(alpha.size // 2):
+        probs[alpha.size - 1 - i] = probs[i][flipped]
     return probs
 
 
-@pytest.mark.parametrize("m, span", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("m, span", [(2, 5), (3, 3), (4, 3)])
 def test_exact_table_correlated_matches_mvn_reference(m, span):
     spec = PulseSpec(ROOT_RAISED_COSINE, 0.22, span_symbols=span,
                      oversampling=m)
@@ -110,17 +119,47 @@ def test_exact_table_correlated_matches_mvn_reference(m, span):
 
 
 def test_exact_table_refuses_uncertified_quadrature():
-    # The 48- and 64-node tables of this correlated M = 3 channel agree
-    # to about 1e-14; a tolerance below that must refuse, the default
-    # must not.
-    spec = PulseSpec(ROOT_RAISED_COSINE, 0.1, signaling_ratio=1.2,
-                     span_symbols=3, oversampling=3)
-    ch = assemble(spec, "4qam", snr_db=10.0)
-    with pytest.raises(QuadratureToleranceError) as info:
-        enumerate_exact(ch, tol=1e-16)
-    assert info.value.requested == 1e-16
-    assert info.value.achieved > 1e-16
+    # The 48- and 64-node tables of these correlated channels, where the
+    # kernel integrates, agree to a few 1e-16 at M = 3 and to about 1e-13
+    # at M = 4 (nearly singular noise); a tolerance below that must
+    # refuse, the default must not.
+    for spec in (PulseSpec(ROOT_RAISED_COSINE, 0.0, signaling_ratio=2.0,
+                           span_symbols=5, oversampling=3),
+                 PulseSpec(GAUSSIAN, 0.3, span_symbols=9, oversampling=4)):
+        ch = assemble(spec, "4qam", snr_db=10.0)
+        with pytest.raises(QuadratureToleranceError) as info:
+            enumerate_exact(ch, tol=1e-16)
+        assert info.value.requested == 1e-16
+        assert info.value.achieved > 1e-16
+        enumerate_exact(ch)
+
+
+@pytest.mark.parametrize("m, noise, integrates", [
+    (2, "rrc", False), (3, "delta", False), (3, "rrc", True),
+    (4, "rrc", True)])
+def test_check_rule_runs_only_where_the_kernel_integrates(monkeypatch, m,
+                                                          noise, integrates):
+    # A quadrature-free table (correlated M <= 2, or diagonal noise) is
+    # computed once; a second node rule would reproduce it bit for bit.
+    real = transitions._orthant_table
+    calls = []
+
+    def spy(means, chol, *nodes):
+        if means.shape[1] == m:
+            calls.append(nodes)
+        return real(means, chol, *nodes)
+
+    monkeypatch.setattr(transitions, "_orthant_table", spy)
+    if noise == "rrc":
+        ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.3, span_symbols=3,
+                                oversampling=m), "4qam", snr_db=8.0)
+    else:
+        ch = _delta_channel("4qam", snr_db=8.0, m=m, span=3)
     enumerate_exact(ch)
+    assert len(calls) == 1 + integrates
+    assert calls[0] == ()
+    if integrates:
+        assert calls[1][0] is transitions._GAUSS_LEGENDRE_CHECK
 
 
 def _bivariate_reference(means, chol):
@@ -184,7 +223,7 @@ def test_enumeration_refuses_blown_budget():
 
 
 def test_enumeration_refuses_wide_correlated_noise():
-    ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22, oversampling=4),
+    ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22, oversampling=5),
                   "4qam", snr_db=10.0)
     with pytest.raises(CorrelatedNoiseError):
         enumerate_exact(ch)
