@@ -35,7 +35,7 @@ __all__ = [
     "rate_from_table",
 ]
 
-# Default cap on block joint size; the block check materializes the full
+# Cap on block joint size; the block check materializes the full
 # |X|^n by 2^(nM) joint distribution.
 BLOCK_BUDGET = 1 << 22
 
@@ -151,14 +151,15 @@ class BoundReport:
     n_outputs: int
 
 
-def block_entropy_bound(ch: DiscreteChannel, n_intervals: int, *,
-                        budget: int = BLOCK_BUDGET) -> BoundReport:
+def block_entropy_bound(ch: DiscreteChannel, n_intervals: int) -> BoundReport:
     """Enumerate a short block exactly and compare conditional entropies.
 
     The block holds ``n_intervals`` symbols with zero padding outside;
     every symbol vector and every joint sign pattern is enumerated.  The
     noise must be independent across all samples of the block, which
     requires a memoryless receive filter; correlated noise is refused.
+    A joint distribution of more than ``BLOCK_BUDGET`` entries raises
+    :class:`BudgetExceededError` before anything is allocated.
     """
     if n_intervals < 1:
         raise ValueError("block needs at least one interval")
@@ -172,8 +173,8 @@ def block_entropy_bound(ch: DiscreteChannel, n_intervals: int, *,
     n_samples = n_intervals * m
     n_x = n_levels ** n_intervals
     n_y = 1 << n_samples
-    if n_x * n_y > budget:
-        raise BudgetExceededError(n_x * n_y, budget)
+    if n_x * n_y > BLOCK_BUDGET:
+        raise BudgetExceededError(n_x * n_y, BLOCK_BUDGET)
 
     # Means of every block sample for every symbol vector, applying the
     # per-interval operator A with zero padding outside the block.

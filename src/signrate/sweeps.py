@@ -29,12 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import assemble, component_alphabet
+from .channel import assemble
 from .config import RunConfig, _CanonicalConfig
 from .errors import GridMismatchError
 from .rates import RateResult, rate_for_config
-from .transitions import (ENUM_BUDGET, _check_budget, _check_integrable,
-                          component_cholesky)
+from .transitions import check_enumerable
 
 __all__ = [
     "RegionMap",
@@ -263,36 +262,32 @@ def _refuse_infeasible_enum(config: SweepConfig) -> None:
     """Raise the refusal of the first cell of an enum grid that
     :func:`enumerate_exact` would refuse, before any cell runs.
 
-    The budget depends only on alphabet, M and span (an assembled channel
-    remembers span - 1 symbols); the correlated-noise check runs on one
-    assembled channel per distinct (shape, ratio, M).
+    SNR changes neither verdict of :func:`check_enumerable`, so it runs
+    on one assembled channel per distinct (alphabet, M, shape, ratio).
     """
     if config.estimator != "enum":
         return
     checked = set()
     for key in config.cell_keys():
-        alphabet, m, shape, ratio, _ = key
-        _check_budget(component_alphabet(alphabet).size,
-                      config.span_symbols - 1, m, ENUM_BUDGET)
-        if (shape, ratio, m) not in checked:
-            checked.add((shape, ratio, m))
+        if key[:4] not in checked:
+            checked.add(key[:4])
             cell = config.cell(key)
-            ch = assemble(cell.pulse_spec(), cell.alphabet, cell.snr_db)
-            _check_integrable(component_cholesky(ch))
+            check_enumerable(
+                assemble(cell.pulse_spec(), cell.alphabet, cell.snr_db))
 
 
 def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
-              flush_every: int = 1, progress=None) -> SweepResult:
+              progress=None) -> SweepResult:
     """Evaluate a grid, resuming from ``out_path`` when it already exists.
 
     An existing file must echo the same canonical configuration;
     anything else raises :class:`GridMismatchError` rather than
     overwriting foreign results.  Completed cells are reused verbatim,
     missing ones are evaluated (``workers`` cells in parallel), and the
-    file is rewritten in canonical order after every ``flush_every``
-    completions, so an interrupted run loses at most that many cells.
-    Each rewrite replaces the file whole, so a write that fails part-way
-    leaves the previous version loadable.  An enum grid with a cell that
+    file is rewritten in canonical order after every recorded cell, so an
+    interrupted run loses no recorded cell.  Each rewrite replaces the
+    file whole, so a write that fails part-way leaves the previous
+    version loadable.  An enum grid with a cell that
     exact enumeration would refuse raises that cell's refusal before any
     cell runs or the file is written.
     ``progress`` is called after every newly computed cell with
@@ -300,8 +295,8 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     the canonical order, so every rewrite holds the same rows on every
     run.  An exception, from a cell, ``progress`` or Ctrl-C, stops the
     sweep: queued cells are cancelled, cells already running finish
-    unrecorded, the cells recorded so far are flushed and the exception
-    propagates.
+    unrecorded, and the exception propagates with every recorded cell
+    already in the file.
     """
     out_path = Path(out_path)
     done: dict = {}
@@ -317,35 +312,23 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
 
     todo = [key for key in config.cell_keys() if key not in done]
     total = config.n_cells()
-    # Cells recorded since the last flush; results are recorded in the
-    # calling thread only.
-    pending = 0
 
     def flush():
         result = SweepResult(config=config, rows=tuple(done.values()))
         _replace_text(out_path, sweep_csv_text(result))
-
-    def finish(key: tuple, res: RateResult):
-        nonlocal pending
-        done[key] = SweepRow.from_result(res)
-        pending += 1
-        if pending >= flush_every:
-            pending = 0
-            flush()
-        if progress is not None:
-            progress(len(done), total, key)
 
     # The pool starts no thread until used, so one worker stays serial.
     pool = ThreadPoolExecutor(max_workers=workers)
     mapper = map if workers == 1 else pool.map
     try:
         cells = mapper(rate_for_config, map(config.cell, todo))
+        # Results are recorded, and the file rewritten, in the calling
+        # thread only.
         for key, res in zip(todo, cells):
-            finish(key, res)
-    except BaseException:
-        if pending:
+            done[key] = SweepRow.from_result(res)
             flush()
-        raise
+            if progress is not None:
+                progress(len(done), total, key)
     finally:
         pool.shutdown(cancel_futures=True)
     flush()
@@ -464,6 +447,11 @@ def region_compare(result: SweepResult, *, snr_db: float,
 
 def write_region_csv(region: RegionMap, destination, *,
                      comment: str | None = None) -> None:
+    """Write a region map as CSV, with ``comment`` as a config line.
+
+    The file is replaced whole, so a write that fails part-way leaves the
+    previous file as it was.
+    """
     lines = []
     if comment is not None:
         lines.append(f"# config: {comment}")
@@ -471,4 +459,4 @@ def write_region_csv(region: RegionMap, destination, *,
     for row in region.rows:
         lines.append(f"{row.beta!r},{row.ratio!r},{row.winner},"
                      f"{row.margin!r},{row.ftn_flag}")
-    Path(destination).write_text("\n".join(lines) + "\n")
+    _replace_text(Path(destination), "\n".join(lines) + "\n")

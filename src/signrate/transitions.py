@@ -25,14 +25,14 @@ Two estimators produce the table:
 * :func:`enumerate_exact` enumerates all symbol windows and sums their
   Gaussian orthant probabilities, all from one vectorized kernel.  A
   sample whose noise no later sample shares contributes a normal CDF
-  factor, and the last two samples, when correlated, close in form
-  through Owen's T function, so M <= 2 and diagonal noise need no
-  quadrature.  Three or four correlated samples take every sign pattern
-  by inclusion and exclusion from normal CDFs of their subsets, the
-  three- and four-dimensional ones through Plackett's identity as one
-  smooth integral each, with fixed Gauss-Legendre rules; only those
-  tables are accepted when a second, coarser rule reproduces them.
-  Correlated noise is exact up to M = 4 and refused beyond that.
+  factor.  The 2, 3 or 4 correlated samples left take every sign
+  pattern by inclusion and exclusion from normal CDFs of their subsets:
+  Owen's T function for pairs, so M <= 2 and diagonal noise need no
+  quadrature, and Plackett's identity, one smooth integral each with
+  fixed Gauss-Legendre rules, for three and four; only those tables
+  are accepted when a second, coarser rule reproduces them.  Correlated
+  noise is exact up to M = 4 and refused beyond that;
+  :func:`check_enumerable` owns that refusal and the budget's.
 
 Both estimators exploit the sign symmetry of the model: negating the
 symbol window flips every output bit, so tables satisfy
@@ -56,6 +56,7 @@ __all__ = [
     "CHUNK_SAMPLES",
     "ENUM_BUDGET",
     "TransitionTable",
+    "check_enumerable",
     "component_cholesky",
     "enumerate_exact",
     "mc_estimate",
@@ -72,7 +73,7 @@ _BLOCK_SAMPLES = CHUNK_SAMPLES // 4
 # Number of interleaved chunk groups used for spread estimates.
 N_GROUPS = 10
 
-# Default cap on enumerated (window, output) pairs.
+# Cap on enumerated (window, output) pairs.
 ENUM_BUDGET = 1 << 26
 
 # Gauss-Legendre rules on [-1, 1], mapped onto the Plackett t-integrals:
@@ -282,59 +283,30 @@ def _sign_probs(t: np.ndarray) -> np.ndarray:
                      np.where(neg, tail, 1.0 - tail)], axis=-1)
 
 
-def _owen_sum(h: np.ndarray, k: np.ndarray, rho, root) -> np.ndarray:
-    """T(h, a_h) + T(k, a_k), the Owen's T part of a bivariate normal CDF.
+def _phi2(h: np.ndarray, k: np.ndarray, rho, phi_h: np.ndarray,
+          phi_k: np.ndarray) -> np.ndarray:
+    """P(Z_0 < h, Z_1 < k) of standard normals with correlation ``rho``,
+    given ``phi_h`` = Phi(h) and ``phi_k`` = Phi(k).
 
-    a_h = (k - rho h) / (h root) with root = sqrt(1 - rho^2), a_k
-    likewise, and a_h = +-inf at h = 0 (Owen 1956; Genz 2004).  At
-    h = k = 0 the sum is its limit 1/4 - asin(rho) / (2 pi).  ``rho``
-    and ``root`` broadcast against ``h`` and ``k``.
+    It is Phi(h)/2 + Phi(k)/2 - (T(h, a_h) + T(k, a_k)) - beta through
+    Owen's T function, with a_h = (k - rho h) / (h root) and
+    root = sqrt(1 - rho^2), a_k likewise, a_h = +-inf at h = 0, and
+    beta = 0 when h and k have the same sign (zero counts as positive),
+    1/2 otherwise (Owen 1956; Genz 2004).  At h = k = 0 the Owen's T sum
+    is its limit 1/4 - asin(rho) / (2 pi).  ``rho`` broadcasts against
+    ``h`` and ``k``.
     """
+    root = np.sqrt((1.0 - rho) * (1.0 + rho))
     with np.errstate(divide="ignore", invalid="ignore"):
         a_h = np.where(h == 0, np.copysign(np.inf, k),
                        (k - rho * h) / (h * root))
         a_k = np.where(k == 0, np.copysign(np.inf, h),
                        (h - rho * k) / (k * root))
-    return np.where((h == 0) & (k == 0),
+    owen = np.where((h == 0) & (k == 0),
                     0.25 - np.arcsin(rho) / (2.0 * np.pi),
                     owens_t(h, a_h) + owens_t(k, a_k))
-
-
-def _phi2(h: np.ndarray, k: np.ndarray, rho) -> np.ndarray:
-    """P(Z_0 < h, Z_1 < k) of standard normals with correlation ``rho``,
-    which broadcasts against ``h`` and ``k``:
-    Phi(h)/2 + Phi(k)/2 - (T(h, a_h) + T(k, a_k)) - beta, beta = 0 when h
-    and k have the same sign (zero counts as positive), 1/2 otherwise."""
-    owen = _owen_sum(h, k, rho, np.sqrt((1.0 - rho) * (1.0 + rho)))
     beta = np.where((h >= 0) == (k >= 0), 0.0, 0.5)
-    return 0.5 * (ndtr(h) + ndtr(k)) - owen - beta
-
-
-def _bivariate_orthants(means: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """P(sign pattern y) of two samples sharing w_0, in closed form.
-
-    With h = m_0 / sigma_0, k = m_1 / sigma_1 and correlation rho,
-    P(both >= 0) is the bivariate normal CDF of :func:`_phi2`.  Negating
-    one sample negates rho and both a's, and T(h, a) is odd in a and even
-    in h, so the other patterns reuse T(h, a_h) + T(k, a_k) with the sign
-    flipped and their own beta.
-    """
-    sigma1 = float(np.hypot(chol[1, 0], chol[1, 1]))
-    rho, root = chol[1, 0] / sigma1, chol[1, 1] / sigma1
-    h = means[:, 0] / chol[0, 0]
-    k = means[:, 1] / sigma1
-    owen = _owen_sum(h, k, rho, root)
-    half_h = 0.5 * _sign_probs(h)
-    half_k = 0.5 * _sign_probs(k)
-    same = (h >= 0) == (k >= 0)
-    beta = np.where(same, 0.0, 0.5)
-    out = np.empty((h.size, 4))
-    out[:, 0] = half_h[:, 0] + half_k[:, 0] - owen - beta
-    out[:, 1] = half_h[:, 1] + half_k[:, 0] + owen - (0.5 - beta)
-    out[:, 2] = half_h[:, 0] + half_k[:, 1] + owen - (0.5 - beta)
-    out[:, 3] = half_h[:, 1] + half_k[:, 1] - owen - beta
-    # Cancellation must never leave a negative probability.
-    return np.maximum(out, 0.0, out=out)
+    return 0.5 * (phi_h + phi_k) - owen - beta
 
 
 def _plackett_term(h: np.ndarray, corr: np.ndarray, a: int, j: int,
@@ -372,7 +344,8 @@ def _plackett_term(h: np.ndarray, corr: np.ndarray, a: int, j: int,
         inner = ndtr(x[..., 0])
     else:
         inner = _phi2(x[..., 0], x[..., 1],
-                      cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]))
+                      cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]),
+                      ndtr(x[..., 0]), ndtr(x[..., 1]))
     r, det = r[:, 0], det[:, 0]
     density = np.exp(-(h_a * h_a - 2.0 * r * h_a * h_j + h_j * h_j)
                      / (2.0 * det)) / (2.0 * np.pi * np.sqrt(det))
@@ -382,14 +355,17 @@ def _plackett_term(h: np.ndarray, corr: np.ndarray, a: int, j: int,
 
 def _subset_orthants(means: np.ndarray, chol: np.ndarray,
                      nodes: tuple) -> np.ndarray:
-    """P(sign pattern y) of ``means[r] + chol @ w`` for k = 3 or 4 samples.
+    """P(sign pattern y) of ``means[r] + chol @ w`` for k = 2, 3 or 4
+    correlated samples.
 
     F(U) = P(every sample in U negative) is a normal CDF Phi_|U| of the
     standardized means h = -m / sigma at the samples' correlations: an
-    ``ndtr`` for one sample, Owen's T for two, and Plackett's identity,
+    ``ndtr`` for one sample, Owen's T for two (reusing the two samples'
+    ``ndtr`` columns), and Plackett's identity,
     Phi_|U| = Phi(h_a) Phi_{|U|-1}(U - a) plus a smooth t-integral per
-    partner j of a (its lowest sample), for three and four.  The pattern
-    whose negative samples are exactly T then follows by inclusion and
+    partner j of a (its lowest sample), for three and four; only those
+    integrals use the Gauss-Legendre ``nodes``.  The pattern whose
+    negative samples are exactly T then follows by inclusion and
     exclusion, P = sum over U containing T of (-1)^|U - T| F(U).
     """
     n, k = means.shape
@@ -404,7 +380,9 @@ def _subset_orthants(means: np.ndarray, chol: np.ndarray,
         if not others:
             cdf[:, mask] = ndtr(h[:, a])
         elif len(others) == 1:
-            cdf[:, mask] = _phi2(h[:, a], h[:, others[0]], corr[a, others[0]])
+            b = others[0]
+            cdf[:, mask] = _phi2(h[:, a], h[:, b], corr[a, b],
+                                 cdf[:, 1 << a], cdf[:, 1 << b])
         else:
             total = ndtr(h[:, a]) * cdf[:, mask & (mask - 1)]
             for j in others:
@@ -430,15 +408,14 @@ def _orthant_table(means: np.ndarray, chol: np.ndarray,
     ``w`` is standard normal and ``chol`` lower triangular with a
     positive diagonal; bit j of y is set when sample j is nonnegative.
     The recursion peels off the first sample while no later sample
-    shares its white variable w_0, as a normal CDF factor.  Two remaining
-    samples that share w_0 close in form through Owen's T function;
-    three or four go to :func:`_subset_orthants`, which integrates with
-    the Gauss-Legendre ``nodes`` (points and weights on [-1, 1]).
+    shares its white variable w_0, as a normal CDF factor, so tiny
+    probabilities stay accurate relative to their size.  The 2, 3 or 4
+    samples left once one does go to :func:`_subset_orthants`, which
+    integrates three or more with the Gauss-Legendre ``nodes`` (points
+    and weights on [-1, 1]).
     """
     n, k = means.shape
     col = chol[1:, 0]
-    if k == 2 and col[0] != 0:
-        return _bivariate_orthants(means, chol)
     if col.any():
         return _subset_orthants(means, chol, nodes)
     first = _sign_probs(means[:, 0] / chol[0, 0])
@@ -448,57 +425,58 @@ def _orthant_table(means: np.ndarray, chol: np.ndarray,
     return (rest[:, :, None] * first[:, None, :]).reshape(n, -1)
 
 
-def _check_budget(n_levels: int, memory: int, m: int, budget: int) -> None:
-    """Raise :class:`BudgetExceededError` when the |X|^(L+1) windows times
-    2^M outputs of an exact table exceed ``budget``."""
-    required = n_levels ** (memory + 1) << m
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+def check_enumerable(ch: DiscreteChannel) -> np.ndarray:
+    """Refuse a channel :func:`enumerate_exact` cannot tabulate, or return
+    the Cholesky factor of its noise (:func:`component_cholesky`).
 
-
-def _check_integrable(chol: np.ndarray) -> None:
-    """Raise :class:`CorrelatedNoiseError` for noise the exact kernel cannot
-    integrate: correlated noise (any nonzero below the diagonal of its
-    Cholesky factor ``chol``) at more than 4 samples per interval."""
-    if chol.shape[0] > 4 and np.tril(chol, -1).any():
+    Raises :class:`BudgetExceededError` when the |X|^(L+1) windows times
+    2^M outputs exceed ``ENUM_BUDGET``, and :class:`CorrelatedNoiseError`
+    for correlated noise (any nonzero below the factor's diagonal) at
+    more than 4 samples per interval.  Neither verdict depends on SNR.
+    """
+    required = ch.alphabet.size ** (ch.memory + 1) << ch.oversampling
+    if required > ENUM_BUDGET:
+        raise BudgetExceededError(required, ENUM_BUDGET)
+    chol = component_cholesky(ch)
+    if ch.oversampling > 4 and np.tril(chol, -1).any():
         raise CorrelatedNoiseError(
             "correlated sample noise is integrable only up to 4 samples "
             "per interval; use the Monte Carlo estimator")
+    return chol
 
 
-def enumerate_exact(ch: DiscreteChannel, *, budget: int = ENUM_BUDGET,
+def enumerate_exact(ch: DiscreteChannel, *,
                     tol: float = 1e-6) -> TransitionTable:
     """Compute the transition table by exhaustive window enumeration.
 
-    Cost is |X|^(L+1) windows times 2^M outputs; anything above ``budget``
-    raises :class:`BudgetExceededError`.  Every window's orthant
-    probabilities come from one kernel: normal CDF products where sample
-    noise is uncorrelated, a closed-form bivariate normal for a
-    correlated last pair, and for three or four correlated samples the
-    subset-CDF kernel, whose Plackett integrals over t use fixed
-    Gauss-Legendre nodes; beyond M = 4 correlated noise raises
+    Cost is |X|^(L+1) windows times 2^M outputs.  :func:`check_enumerable`
+    refuses a table above ``ENUM_BUDGET`` with
+    :class:`BudgetExceededError`, and correlated noise beyond M = 4 with
     :class:`CorrelatedNoiseError`, which asks for the Monte Carlo path
-    instead.  :class:`QuadratureToleranceError` is raised when a window's
-    probabilities miss a sum of one by more than ``tol``, and, where a
-    t-integral runs, when the tables from 64 and from 48 nodes differ by
-    more than ``tol``; a quadrature-free table is computed once.  Rows
-    come out bitwise sign-symmetric because the upper half is a mirrored
-    copy of the lower half.
+    instead.  Every window's orthant probabilities come from one kernel:
+    normal CDF products where sample noise is uncorrelated, and for each
+    block of 2, 3 or 4 correlated samples the subset-CDF kernel, whose
+    Plackett integrals over t (three or more samples) use fixed
+    Gauss-Legendre nodes.  :class:`QuadratureToleranceError` is raised
+    when a window's probabilities miss a sum of one by more than ``tol``,
+    and, where a t-integral runs, when the tables from 64 and from 48
+    nodes differ by more than ``tol``; a quadrature-free table is
+    computed once.  Rows come out bitwise sign-symmetric because the
+    upper half is a mirrored copy of the lower half.
     """
     alpha = ch.alphabet
     n_levels = alpha.size
     length = ch.memory + 1
     center_pos = ch.memory // 2
     n_out = ch.n_outputs
-    _check_budget(n_levels, ch.memory, ch.oversampling, budget)
+    chol = check_enumerable(ch)
 
     m = ch.oversampling
-    chol = component_cholesky(ch)
-    _check_integrable(chol)
     # The kernel integrates over t only when a sample that shares its
-    # white variable with a later one precedes the last two (the last pair
-    # closes in form); every other table is quadrature-free, and a second
-    # node rule would reproduce it bit for bit.
+    # white variable with a later one precedes the last two (a correlated
+    # block of three or more samples); every other table is
+    # quadrature-free, and a second node rule would reproduce it bit for
+    # bit.
     integrates = any(chol[j + 1:, j].any() for j in range(m - 2))
     # An integrating window holds nodes times (M - 2) rest samples per
     # Plackett term in the kernel's largest arrays.

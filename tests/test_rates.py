@@ -29,6 +29,7 @@ from signrate.pulses import (
     delta_taps,
 )
 from signrate.rates import (
+    BLOCK_BUDGET,
     block_entropy_bound,
     dmc_mutual_information,
     rate_for_config,
@@ -357,7 +358,9 @@ def test_block_bound_refuses_correlated_noise():
 def test_block_bound_refuses_blown_budget():
     d = delta_taps(1, 1)
     ch = from_taps(d, d, "16qam", snr_db=3.0)
-    with pytest.raises(BudgetExceededError):
-        block_entropy_bound(ch, 8, budget=1 << 10)
+    with pytest.raises(BudgetExceededError) as info:
+        block_entropy_bound(ch, 8)
+    assert info.value.required == 4 ** 8 * 2 ** 8
+    assert info.value.budget == BLOCK_BUDGET
     with pytest.raises(ValueError):
         block_entropy_bound(ch, 0)

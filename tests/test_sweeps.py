@@ -281,10 +281,10 @@ def test_failed_flush_keeps_previous_file_resumable(tmp_path, monkeypatch):
     assert out.read_bytes() == complete
 
 
-@pytest.mark.parametrize("workers, flush_every, stop", [
-    (2, 1, RuntimeError), (2, 5, KeyboardInterrupt), (1, 5, RuntimeError)])
+@pytest.mark.parametrize("workers, stop", [
+    (2, RuntimeError), (2, KeyboardInterrupt), (1, RuntimeError)])
 def test_stopped_sweep_cancels_queued_cells(tmp_path, monkeypatch, workers,
-                                            flush_every, stop):
+                                            stop):
     # 20 cells; the progress callback stops the sweep at the first one.
     grid = _tiny_sweep(beta=(0.2, 0.5), ratio=(1.0, 1.25, 1.5, 1.75, 2.0),
                        estimator="mc", samples=2000)
@@ -305,11 +305,10 @@ def test_stopped_sweep_cancels_queued_cells(tmp_path, monkeypatch, workers,
     monkeypatch.setattr(sweeps, "rate_for_config", counted_rate)
     out = tmp_path / "sweep.csv"
     with pytest.raises(stop):
-        run_sweep(grid, out, workers=workers, flush_every=flush_every,
-                  progress=stop_at_first)
+        run_sweep(grid, out, workers=workers, progress=stop_at_first)
     # Queued cells never ran (besides the recorded one, only cells
     # already running when the sweep stopped); the recorded cell was
-    # flushed although the flush interval was not reached.
+    # flushed before the sweep stopped.
     assert len(calls) < grid.n_cells() // 2
     assert len(load_sweep_csv(out).rows) == 1
 
@@ -426,3 +425,23 @@ def test_region_csv_format(tmp_path):
     assert winner == "16qam"
     assert float(margin) == pytest.approx(0.2)
     assert flag in {"0", "1"}
+
+
+def test_failed_region_write_keeps_previous_file(tmp_path, monkeypatch):
+    region = region_compare(_synthetic_result(), snr_db=5.0, oversampling=1)
+    path = tmp_path / "regions.csv"
+    write_region_csv(region, path)
+    previous = path.read_bytes()
+    real_write = Path.write_text
+
+    def write_half(path, text, *args, **kwargs):
+        real_write(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    with pytest.raises(OSError, match="no space"):
+        write_region_csv(region, path, comment="{}")
+    monkeypatch.undo()
+
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["regions.csv"]

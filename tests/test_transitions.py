@@ -3,9 +3,9 @@
 Groups:
  1. Exact tables against closed-form normal CDF values on channels with
     no symbol overlap (the neighbor average collapses).
- 2. Exact tables with correlated samples, and the closed-form
-    bivariate orthants, against an independent multivariate normal CDF
-    reference.
+ 2. Exact tables with correlated samples, and the kernel's orthants of
+    a correlated pair (alone or after an independent sample), against
+    an independent multivariate normal CDF reference.
  3. Structural invariants: sign symmetry (bitwise), row sums, refusals.
  4. Monte Carlo: determinism across worker counts, the blocked chunk
     kernel against a single-pass reference, chunk reuse across sample
@@ -29,8 +29,8 @@ from signrate.pulses import GAUSSIAN, ROOT_RAISED_COSINE, PulseSpec, delta_taps
 from signrate.transitions import (
     _BLOCK_SAMPLES,
     CHUNK_SAMPLES,
+    ENUM_BUDGET,
     TransitionTable,
-    _bivariate_orthants,
     _orthant_table,
     component_cholesky,
     enumerate_exact,
@@ -186,12 +186,22 @@ def test_bivariate_orthants_match_mvn_cdf(rho):
     chol = np.array([[sigma0, 0.0],
                      [rho * sigma1, np.sqrt(1.0 - rho * rho) * sigma1]])
     means = hk * [sigma0, sigma1]
-    table = _bivariate_orthants(means, chol)
+    table = _orthant_table(means, chol)
     assert np.all(table >= 0.0)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-14
-    assert np.max(np.abs(table - _bivariate_reference(means, chol))) < 1e-13
-    # The kernel takes this closed form for a correlated pair.
-    assert np.array_equal(_orthant_table(means, chol), table)
+    reference = _bivariate_reference(means, chol)
+    assert np.max(np.abs(table - reference)) < 1e-13
+    # An independent sample 0 is peeled off as a normal CDF factor
+    # (bit 0 of the pattern) before the correlated pair.
+    chol3 = np.zeros((3, 3))
+    chol3[0, 0] = 0.4
+    chol3[1:, 1:] = chol
+    first = 0.4 * np.linspace(-3.0, 3.0, len(hk))
+    table3 = _orthant_table(np.column_stack([first, means]), chol3)
+    peeled = np.stack([ndtr(-first / 0.4), ndtr(first / 0.4)], axis=1)
+    expect3 = (reference[:, :, None] * peeled[:, None, :]).reshape(-1, 8)
+    assert np.all(table3 >= 0.0)
+    assert np.max(np.abs(table3 - expect3)) < 1e-13
 
 
 # -- Group 3: invariants and refusals ---------------------------------------------------
@@ -214,12 +224,12 @@ def test_exact_table_rows_sum_to_one():
 
 
 def test_enumeration_refuses_blown_budget():
-    ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22, oversampling=4),
-                  "16qam", snr_db=10.0)
+    ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22, span_symbols=13,
+                            oversampling=1), "16qam", snr_db=10.0)
     with pytest.raises(BudgetExceededError) as info:
-        enumerate_exact(ch, budget=1000)
-    assert info.value.required == 4 ** 9 * 16
-    assert info.value.budget == 1000
+        enumerate_exact(ch)
+    assert info.value.required == 4 ** 13 * 2
+    assert info.value.budget == ENUM_BUDGET
 
 
 def test_enumeration_refuses_wide_correlated_noise():
