@@ -36,11 +36,8 @@ __all__ = [
     "ComponentAlphabet",
     "DiscreteChannel",
     "assemble",
-    "build_toeplitz",
     "component_alphabet",
-    "flip_index",
     "from_taps",
-    "sigma2_from_snr_db",
 ]
 
 

@@ -29,6 +29,7 @@ from .sweeps import (
     load_sweep_csv,
     merge_sweeps,
     region_compare,
+    replace_text,
     run_sweep,
     write_region_csv,
 )
@@ -79,6 +80,13 @@ def _resolve_out(args, data: dict, required: bool):
     return None if out is None else Path(out)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_pulse_flags(parser):
     parser.add_argument("--config", type=Path,
                         help="JSON file with configuration values")
@@ -118,7 +126,7 @@ def _parser() -> argparse.ArgumentParser:
     rate.add_argument("--samples", type=int,
                       help="Monte Carlo sample budget")
     rate.add_argument("--seed", type=int, help="top-level seed")
-    rate.add_argument("--workers", type=int, default=1,
+    rate.add_argument("--workers", type=_positive_int, default=1,
                       help="parallel simulation workers (default 1)")
     rate.add_argument("--out", type=Path,
                       help="also write the JSON to this path")
@@ -131,7 +139,7 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--estimator", choices=("mc", "enum"))
     sweep.add_argument("--samples", type=int)
     sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=_positive_int, default=1,
                        help="cells evaluated in parallel (default 1)")
     sweep.add_argument("--out", type=Path, help="grid CSV path")
     sweep.set_defaults(handler=_cmd_sweep)
@@ -168,7 +176,7 @@ def _cmd_taps(args) -> int:
     lines = [f"# config: {echo}", "index,t,value"]
     for i, (t, v) in enumerate(zip(taps.times, taps.taps)):
         lines.append(f"{i},{format(t, '.17g')},{format(v, '.17g')}")
-    out.write_text("\n".join(lines) + "\n")
+    replace_text(out, "\n".join(lines) + "\n")
     print(f"energy {taps.energy!r}")
     print(f"bandwidth_3db {bandwidth!r}")
     return 0
@@ -186,7 +194,7 @@ def _cmd_rate(args) -> int:
     text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if out is not None:
-        out.write_text(text)
+        replace_text(out, text)
     return 0
 
 
@@ -198,8 +206,8 @@ def _cmd_sweep(args) -> int:
         grid = SweepConfig.from_dict(data)
     except TypeError as err:
         raise ValueError(f"incomplete grid description: {err}") from None
-    if out.exists():
-        prior = load_sweep_csv(out)
+    prior = load_sweep_csv(out) if out.exists() else None
+    if prior is not None and prior.config == grid:
         print(f"resuming {out}: {len(prior.rows)} of {grid.n_cells()} "
               f"cells already complete", file=sys.stderr)
 

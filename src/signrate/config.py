@@ -107,9 +107,6 @@ class RunConfig(_CanonicalConfig):
         if self.schema_version != 1:
             raise ValueError(f"unsupported schema version {self.schema_version}")
 
-    def replace(self, **changes) -> "RunConfig":
-        return dataclasses.replace(self, **changes)
-
     def pulse_spec(self) -> PulseSpec:
         return PulseSpec(family=self.family, shape=self.shape,
                          signaling_ratio=self.signaling_ratio,

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["BudgetExceededError", "CorrelatedNoiseError", "GridMismatchError",
+           "QuadratureToleranceError", "RefusalError"]
+
 
 class RefusalError(RuntimeError):
     """An estimator declined to run because its preconditions do not hold."""

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["FilterTaps", "PulseSpec", "combined_response", "delta_taps",
+           "discretize", "estimate_3db_bandwidth", "matched_combine"]
+
 GAUSSIAN = "gaussian"
 ROOT_RAISED_COSINE = "rrc"
 
@@ -25,6 +28,12 @@ _FAMILIES = (GAUSSIAN, ROOT_RAISED_COSINE)
 # Denominator magnitude below which the root-raised cosine is evaluated by its
 # closed-form limits instead of the generic quotient.
 _RRC_GUARD = 1e-9
+
+# Refinement of the tap grid on which combined_response convolves.
+FINE_FACTOR = 16
+
+# DFT length of the spectrum estimate_3db_bandwidth reads.
+BANDWIDTH_NFFT = 1 << 16
 
 
 def eval_gaussian(t, b3db_ts):
@@ -191,38 +200,36 @@ def matched_combine(v: FilterTaps, g: FilterTaps, span_symbols: int) -> FilterTa
     return FilterTaps(out, m)
 
 
-def combined_response(spec: PulseSpec, fine_factor: int = 16) -> FilterTaps:
+def combined_response(spec: PulseSpec) -> FilterTaps:
     """Transmit pulse convolved with its own matched receive filter, sampled
     on the model tap grid.
 
     A tap-level convolution at the model grid would alias the pulse's excess
     bandwidth (at one tap per interval the grid cannot see the intra-interval
     shape at all), so the convolution runs on an internally refined grid with
-    ``fine_factor * oversampling`` points per interval and only then picks the
+    ``FINE_FACTOR * oversampling`` points per interval and only then picks the
     taps that land on the model grid.  The result keeps the matched gain: the
     center tap equals the (unit) pulse energy up to truncation residue, and
     for Nyquist-compatible pairs the taps at whole-interval lags vanish.
     """
-    if fine_factor < 2:
-        raise ValueError(f"refinement factor must be >= 2, got {fine_factor}")
     fine = PulseSpec(spec.family, spec.shape, spec.signaling_ratio,
-                     spec.span_symbols, spec.oversampling * fine_factor)
+                     spec.span_symbols, spec.oversampling * FINE_FACTOR)
     v_fine = discretize(fine)
     h_fine = matched_combine(v_fine, v_fine, spec.span_symbols)
     n = spec.span_symbols * spec.oversampling
     offsets = np.arange(n) - n // 2
-    taps = h_fine.taps[h_fine.center + offsets * fine_factor]
+    taps = h_fine.taps[h_fine.center + offsets * FINE_FACTOR]
     return FilterTaps(taps, spec.oversampling)
 
 
-def estimate_3db_bandwidth(ft: FilterTaps, nfft: int = 1 << 16) -> float:
+def estimate_3db_bandwidth(ft: FilterTaps) -> float:
     """Two-sided 3 dB width of the tap spectrum, in cycles per symbol interval.
 
     Zero-padded DFT magnitude, first crossing of half the zero-frequency
     power, linearly interpolated between neighboring bins.
     """
-    mag2 = np.abs(np.fft.rfft(ft.taps, nfft)) ** 2
-    freqs = np.fft.rfftfreq(nfft, d=1.0 / ft.oversampling)
+    mag2 = np.abs(np.fft.rfft(ft.taps, BANDWIDTH_NFFT)) ** 2
+    freqs = np.fft.rfftfreq(BANDWIDTH_NFFT, d=1.0 / ft.oversampling)
     ref = 0.5 * mag2[0]
     below = np.nonzero(mag2 <= ref)[0]
     if below.size == 0:

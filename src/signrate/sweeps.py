@@ -47,7 +47,6 @@ __all__ = [
     "merge_sweeps",
     "region_compare",
     "run_sweep",
-    "sweep_csv_text",
     "write_region_csv",
 ]
 
@@ -96,7 +95,7 @@ class SweepConfig(_CanonicalConfig):
             object.__setattr__(self, name, getattr(base, name))
         for axis, field in _AXES:
             values = (getattr(base, field),) + tuple(
-                getattr(base.replace(**{field: value}), field)
+                getattr(dataclasses.replace(base, **{field: value}), field)
                 for value in getattr(self, axis)[1:])
             if len(set(values)) != len(values):
                 raise ValueError(f"axis {axis!r} has duplicate values")
@@ -246,7 +245,7 @@ def load_sweep_csv(path) -> SweepResult:
     return SweepResult(config=config, rows=tuple(rows))
 
 
-def _replace_text(path: Path, text: str) -> None:
+def replace_text(path: Path, text: str) -> None:
     """Write ``path`` through a sibling temp file and ``os.replace``, so
     a failed write leaves the previous file whole."""
     tmp = path.with_name(f".{path.name}.tmp")
@@ -315,7 +314,7 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
 
     def flush():
         result = SweepResult(config=config, rows=tuple(done.values()))
-        _replace_text(out_path, sweep_csv_text(result))
+        replace_text(out_path, sweep_csv_text(result))
 
     # The pool starts no thread until used, so one worker stays serial.
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -459,4 +458,4 @@ def write_region_csv(region: RegionMap, destination, *,
     for row in region.rows:
         lines.append(f"{row.beta!r},{row.ratio!r},{row.winner},"
                      f"{row.margin!r},{row.ftn_flag}")
-    _replace_text(Path(destination), "\n".join(lines) + "\n")
+    replace_text(Path(destination), "\n".join(lines) + "\n")

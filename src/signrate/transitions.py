@@ -53,11 +53,8 @@ from .channel import DiscreteChannel, flip_index
 from .errors import BudgetExceededError, CorrelatedNoiseError, QuadratureToleranceError
 
 __all__ = [
-    "CHUNK_SAMPLES",
-    "ENUM_BUDGET",
     "TransitionTable",
     "check_enumerable",
-    "component_cholesky",
     "enumerate_exact",
     "mc_estimate",
 ]
@@ -75,6 +72,9 @@ N_GROUPS = 10
 
 # Cap on enumerated (window, output) pairs.
 ENUM_BUDGET = 1 << 26
+
+# Largest quadrature deviation an exact table may carry.
+ENUM_TOL = 1e-6
 
 # Gauss-Legendre rules on [-1, 1], mapped onto the Plackett t-integrals:
 # tables use the first, and their difference from the second bounds the
@@ -445,8 +445,7 @@ def check_enumerable(ch: DiscreteChannel) -> np.ndarray:
     return chol
 
 
-def enumerate_exact(ch: DiscreteChannel, *,
-                    tol: float = 1e-6) -> TransitionTable:
+def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     """Compute the transition table by exhaustive window enumeration.
 
     Cost is |X|^(L+1) windows times 2^M outputs.  :func:`check_enumerable`
@@ -458,10 +457,10 @@ def enumerate_exact(ch: DiscreteChannel, *,
     block of 2, 3 or 4 correlated samples the subset-CDF kernel, whose
     Plackett integrals over t (three or more samples) use fixed
     Gauss-Legendre nodes.  :class:`QuadratureToleranceError` is raised
-    when a window's probabilities miss a sum of one by more than ``tol``,
-    and, where a t-integral runs, when the tables from 64 and from 48
-    nodes differ by more than ``tol``; a quadrature-free table is
-    computed once.  Rows come out bitwise sign-symmetric because the
+    when a window's probabilities miss a sum of one by more than
+    ``ENUM_TOL``, and, where a t-integral runs, when the tables from 64
+    and from 48 nodes differ by more than that; a quadrature-free table
+    is computed once.  Rows come out bitwise sign-symmetric because the
     upper half is a mirrored copy of the lower half.
     """
     alpha = ch.alphabet
@@ -500,8 +499,8 @@ def enumerate_exact(ch: DiscreteChannel, *,
         if integrates:
             check = _orthant_table(means, chol, _GAUSS_LEGENDRE_CHECK)
             residual = max(residual, float(np.abs(table - check).max()))
-        if residual > tol:
-            raise QuadratureToleranceError(residual, tol)
+        if residual > ENUM_TOL:
+            raise QuadratureToleranceError(residual, ENUM_TOL)
         weights = np.prod(alpha.priors[digits[:, neighbors]], axis=1)
         codes = (digits[:, center_pos, None] * n_out + np.arange(n_out)).ravel()
         probs += np.bincount(codes, weights=(weights[:, None] * table).ravel(),

@@ -2,12 +2,14 @@
 
 Groups:
  1. taps: CSV layout, printed summary, derived center value, usage errors.
- 2. rate: JSON payload, determinism, config file and overrides, refusals.
- 3. sweep: grid runs, resume notes, mismatch exit code.
+ 2. rate: JSON payload, determinism, config file and overrides, refusals,
+    output files that a failed write leaves whole.
+ 3. sweep: grid runs, resume notes, mismatch exit code, worker counts.
  4. regions: single and paired sweep inputs, mismatches.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,28 @@ def test_rate_out_file_matches_stdout(tmp_path, capsys):
     assert out.read_text() == stdout
 
 
+@pytest.mark.parametrize("argv", [
+    _RATE_ARGS, ["taps", "--family", "rrc", "--shape", "0.5"]])
+def test_failed_out_write_keeps_previous_file(tmp_path, capsys, monkeypatch,
+                                              argv):
+    out = tmp_path / "result"
+    out.write_text("previous\n")
+    real_write = Path.write_text
+
+    def write_half(path, text, *args, **kwargs):
+        real_write(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    code, _, stderr = _run(capsys, argv + ["--out", str(out)])
+    monkeypatch.undo()
+
+    assert code == 2
+    assert "no space" in stderr
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["result"]
+
+
 def test_rate_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({
@@ -231,6 +255,42 @@ def test_sweep_run_resume_and_mismatch(tmp_path, capsys):
                                     "--seed", "7", "--out", str(out)])
     assert code == 4
     assert "different" in stderr
+
+
+def test_sweep_foreign_file_exits_4_without_resuming(tmp_path, capsys):
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path, beta=[0.5], ratio=[1.0], alphabets=["4qam"])
+    out = tmp_path / "grid.csv"
+    code, _, _ = _run(capsys, ["sweep", "--config", str(cfg_path),
+                               "--out", str(out)])
+    assert code == 0
+    previous = out.read_bytes()
+
+    _write_grid(cfg_path, beta=[0.3], ratio=[1.0], alphabets=["4qam"])
+    code, _, stderr = _run(capsys, ["sweep", "--config", str(cfg_path),
+                                    "--out", str(out)])
+    assert code == 4
+    assert "different" in stderr
+    assert "resuming" not in stderr
+    assert out.read_bytes() == previous
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["rate-mc", "rate-enum", "sweep"])
+def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path)
+    out = tmp_path / "out"
+    argv = {
+        "rate-mc": _RATE_ARGS[:-1] + ["mc", "--samples", "1000"],
+        "rate-enum": _RATE_ARGS,
+        "sweep": ["sweep", "--config", str(cfg_path)],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--workers", workers, "--out", str(out)])
+    assert info.value.code == 2
+    assert "--workers: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides, message", [

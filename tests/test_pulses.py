@@ -13,6 +13,7 @@ Groups:
 import numpy as np
 import pytest
 
+from signrate import pulses
 from signrate.pulses import (
     GAUSSIAN,
     ROOT_RAISED_COSINE,
@@ -220,10 +221,12 @@ def test_combined_response_oversampled_grid():
     assert abs(h.taps[h.center + 2]) > 0.05
 
 
-def test_combined_response_agrees_with_fine_grid_choice():
+def test_combined_response_agrees_with_fine_grid_choice(monkeypatch):
     spec = PulseSpec(ROOT_RAISED_COSINE, 0.3, span_symbols=9, oversampling=2)
-    a = combined_response(spec, fine_factor=16)
-    b = combined_response(spec, fine_factor=32)
+    assert pulses.FINE_FACTOR == 16
+    a = combined_response(spec)
+    monkeypatch.setattr(pulses, "FINE_FACTOR", 32)
+    b = combined_response(spec)
     # Slowest convergence is at the window edge where truncation bites.
     assert np.max(np.abs(a.taps - b.taps)) < 3e-4
 

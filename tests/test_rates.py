@@ -182,7 +182,8 @@ def exact_twins():
             cfg = RunConfig("rrc", shape, 1.2, 4, "4qam", snr_db,
                             samples=1_000_000, seed=0)
             twins.append((cfg, rate_for_config(cfg, workers=2),
-                          rate_for_config(cfg.replace(estimator="enum"))))
+                          rate_for_config(
+                              dataclasses.replace(cfg, estimator="enum"))))
     return twins
 
 
@@ -213,7 +214,7 @@ def test_group_stderr_tracks_spread():
     exact = rate_for_config(_config())
     devs, errs = [], []
     for seed in range(6):
-        res = rate_for_config(cfg.replace(seed=seed))
+        res = rate_for_config(dataclasses.replace(cfg, seed=seed))
         devs.append(abs(res.rate_bpcu - exact.rate_bpcu))
         errs.append(res.stderr)
     assert max(devs) < 5.0 * max(errs)

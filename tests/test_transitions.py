@@ -118,7 +118,7 @@ def test_exact_table_correlated_matches_mvn_reference(m, span):
     assert np.max(np.abs(table.probs - expect)) < 2e-5
 
 
-def test_exact_table_refuses_uncertified_quadrature():
+def test_exact_table_refuses_uncertified_quadrature(monkeypatch):
     # The 48- and 64-node tables of these correlated channels, where the
     # kernel integrates, agree to a few 1e-16 at M = 3 and to about 1e-13
     # at M = 4 (nearly singular noise); a tolerance below that must
@@ -127,8 +127,10 @@ def test_exact_table_refuses_uncertified_quadrature():
                            span_symbols=5, oversampling=3),
                  PulseSpec(GAUSSIAN, 0.3, span_symbols=9, oversampling=4)):
         ch = assemble(spec, "4qam", snr_db=10.0)
-        with pytest.raises(QuadratureToleranceError) as info:
-            enumerate_exact(ch, tol=1e-16)
+        with monkeypatch.context() as patched:
+            patched.setattr(transitions, "ENUM_TOL", 1e-16)
+            with pytest.raises(QuadratureToleranceError) as info:
+                enumerate_exact(ch)
         assert info.value.requested == 1e-16
         assert info.value.achieved > 1e-16
         enumerate_exact(ch)
