@@ -206,13 +206,11 @@ def _cmd_sweep(args) -> int:
         grid = SweepConfig.from_dict(data)
     except TypeError as err:
         raise ValueError(f"incomplete grid description: {err}") from None
-    prior = load_sweep_csv(out) if out.exists() else None
-    if prior is not None and prior.config == grid:
-        print(f"resuming {out}: {len(prior.rows)} of {grid.n_cells()} "
-              f"cells already complete", file=sys.stderr)
 
     def progress(done, total, key):
-        print(f"[{done}/{total}] {key}", file=sys.stderr)
+        print(f"[{done}/{total}] {key}" if key is not None else
+              f"resuming {out}: {done} of {total} cells already complete",
+              file=sys.stderr)
 
     run_sweep(grid, out, workers=args.workers, progress=progress)
     print(f"wrote {out} ({grid.n_cells()} cells)", file=sys.stderr)

@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -246,12 +247,19 @@ def load_sweep_csv(path) -> SweepResult:
 
 
 def replace_text(path: Path, text: str) -> None:
-    """Write ``path`` through a sibling temp file and ``os.replace``, so
-    a failed write leaves the previous file whole."""
-    tmp = path.with_name(f".{path.name}.tmp")
+    """Write ``path`` whole through a sibling temp file and ``os.replace``,
+    following a symlink and keeping a file's mode; a target that is no
+    regular file (``/dev/stdout``) is written through."""
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        target.write_text(text)
+        return
+    tmp = target.with_name(f".{target.name}.tmp")
     try:
         tmp.write_text(text)
-        os.replace(tmp, path)
+        if target.exists():
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -283,22 +291,21 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     anything else raises :class:`GridMismatchError` rather than
     overwriting foreign results.  Completed cells are reused verbatim,
     missing ones are evaluated (``workers`` cells in parallel), and the
-    file is rewritten in canonical order after every recorded cell, so an
-    interrupted run loses no recorded cell.  Each rewrite replaces the
-    file whole, so a write that fails part-way leaves the previous
-    version loadable.  An enum grid with a cell that
-    exact enumeration would refuse raises that cell's refusal before any
-    cell runs or the file is written.
-    ``progress`` is called after every newly computed cell with
-    (completed cells, total cells, cell key).  Results are recorded in
-    the canonical order, so every rewrite holds the same rows on every
-    run.  An exception, from a cell, ``progress`` or Ctrl-C, stops the
-    sweep: queued cells are cancelled, cells already running finish
-    unrecorded, and the exception propagates with every recorded cell
-    already in the file.
+    file is rewritten whole (:func:`replace_text`) in canonical order
+    after every recorded cell, so an interrupted run or a failed write
+    loses no recorded cell and every rewrite holds the same rows on
+    every run.  An enum grid with a cell that exact enumeration would
+    refuse raises that cell's refusal before any cell runs or the file
+    is written.  ``progress`` is called after every newly computed cell
+    with (completed cells, total cells, cell key), and with key ``None``
+    once an existing file is accepted.  An exception, from a cell,
+    ``progress`` or Ctrl-C, stops the sweep: queued cells are cancelled,
+    cells already running finish unrecorded, and the exception
+    propagates with every recorded cell already in the file.
     """
     out_path = Path(out_path)
     done: dict = {}
+    total = config.n_cells()
     if out_path.exists():
         previous = load_sweep_csv(out_path)
         if previous.config != config:
@@ -307,10 +314,11 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
                 f"grid (stored {previous.config.fingerprint()}, "
                 f"requested {config.fingerprint()})")
         done = previous.by_key()
+        if progress is not None:
+            progress(len(done), total, None)
     _refuse_infeasible_enum(config)
 
     todo = [key for key in config.cell_keys() if key not in done]
-    total = config.n_cells()
 
     def flush():
         result = SweepResult(config=config, rows=tuple(done.values()))
@@ -446,11 +454,8 @@ def region_compare(result: SweepResult, *, snr_db: float,
 
 def write_region_csv(region: RegionMap, destination, *,
                      comment: str | None = None) -> None:
-    """Write a region map as CSV, with ``comment`` as a config line.
-
-    The file is replaced whole, so a write that fails part-way leaves the
-    previous file as it was.
-    """
+    """Write a region map as CSV, with ``comment`` as a config line,
+    through :func:`replace_text`."""
     lines = []
     if comment is not None:
         lines.append(f"# config: {comment}")

@@ -3,7 +3,8 @@
 Groups:
  1. taps: CSV layout, printed summary, derived center value, usage errors.
  2. rate: JSON payload, determinism, config file and overrides, refusals,
-    output files that a failed write leaves whole.
+    output files that a failed write leaves whole and that a symlink
+    redirects.
  3. sweep: grid runs, resume notes, mismatch exit code, worker counts.
  4. regions: single and paired sweep inputs, mismatches.
 """
@@ -155,6 +156,20 @@ def test_failed_out_write_keeps_previous_file(tmp_path, capsys, monkeypatch,
     assert out.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["result"]
 
+
+def test_out_symlink_writes_its_target(tmp_path, capsys):
+    target = tmp_path / "rate.json"
+    target.write_text("previous\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, stdout, _ = _run(capsys, _RATE_ARGS + ["--out", str(link)])
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text() == stdout
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json",
+                                                          "rate.json"]
 
 def test_rate_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "point.json"

@@ -4,12 +4,14 @@ Groups:
  1. Grid definition: default axes, cell order, counts, validation.
  2. CSV round trips and the config echo line.
  3. Running sweeps: determinism, resume, mismatch refusal, workers,
-    stopping.
+    stopping, writes through a path that is no regular file.
  4. Optimum search: completeness, tie-breaking.
  5. Region comparison: winners, ties, flags, CSV format.
 """
 
 import json
+import os
+import stat
 import time
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from signrate.sweeps import (
     find_optimum,
     load_sweep_csv,
     region_compare,
+    replace_text,
     run_sweep,
     sweep_csv_text,
     write_region_csv,
@@ -211,15 +214,34 @@ def test_run_sweep_is_deterministic_and_resumable(tmp_path):
     assert second.read_bytes() == bytes_first
 
     # Dropping rows and resuming recomputes only the missing cells and
-    # restores the identical file.
+    # restores the identical file; progress reports the resumed rows
+    # once, with no cell key.
     lines = bytes_first.decode().splitlines()
     second.write_text("\n".join(lines[:-2]) + "\n")
-    run_sweep(grid, second, workers=1)
+    calls = []
+    run_sweep(grid, second, workers=1,
+              progress=lambda *args: calls.append(args))
     assert second.read_bytes() == bytes_first
+    assert [(done, total, key is None) for done, total, key in calls] == [
+        (2, 4, True), (3, 4, False), (4, 4, False)]
 
     # Rerunning a complete file leaves it untouched.
     run_sweep(grid, second)
     assert second.read_bytes() == bytes_first
+
+
+def test_replace_text_writes_through_a_non_regular_file(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # A non-blocking reader lets the write open the pipe without waiting.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        replace_text(fifo, "row\n")
+        assert os.read(reader, 64) == b"row\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 # A resumed sweep mixes rows written by the code that started it and the
