@@ -41,8 +41,19 @@ __all__ = [
 ]
 
 
+# Largest |SNR| in dB: the noise variance then lies in [1e-300, 1e300],
+# so it, the covariance and its Cholesky factor are normal floats.
+SNR_DB_LIMIT = 3000.0
+
+
 def sigma2_from_snr_db(snr_db: float) -> float:
-    """Noise variance for a given SNR in dB, with unit symbol energy."""
+    """Noise variance for a given SNR in dB, with unit symbol energy.
+
+    An SNR outside +-``SNR_DB_LIMIT`` (or NaN) raises ValueError.
+    """
+    if not -SNR_DB_LIMIT <= snr_db <= SNR_DB_LIMIT:
+        raise ValueError(f"snr_db must lie in [-{SNR_DB_LIMIT:g}, "
+                         f"{SNR_DB_LIMIT:g}] dB, got {snr_db!r}")
     return float(10.0 ** (-snr_db / 10.0))
 
 

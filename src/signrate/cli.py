@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -191,7 +192,8 @@ def _cmd_rate(args) -> int:
     except TypeError as err:
         raise ValueError(f"incomplete configuration: {err}") from None
     result = rate_for_config(config, workers=args.workers)
-    text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     sys.stdout.write(text)
     if out is not None:
         replace_text(out, text)
@@ -245,8 +247,12 @@ def main(argv=None) -> int:
         payload = {"type": type(err).__name__, "message": str(err)}
         for attr in ("required", "budget", "achieved", "requested"):
             if hasattr(err, attr):
-                payload[attr] = getattr(err, attr)
-        print(json.dumps({"error": payload}, sort_keys=True))
+                value = getattr(err, attr)
+                # JSON has no NaN (the deviation of a non-finite table).
+                if isinstance(value, float) and not math.isfinite(value):
+                    value = None
+                payload[attr] = value
+        print(json.dumps({"error": payload}, sort_keys=True, allow_nan=False))
         return 3
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

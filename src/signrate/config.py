@@ -20,10 +20,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import operator
 
-from .channel import component_alphabet
+from .channel import component_alphabet, sigma2_from_snr_db
 from .pulses import PulseSpec
 
 __all__ = ["RunConfig"]
@@ -42,10 +43,14 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_float(name: str, value) -> float:
-    """``value`` as a float, so 10 and 10.0 serialize alike."""
-    if isinstance(value, numbers.Real):
-        return float(value)
-    raise ValueError(f"{name} must be a number, got {value!r}")
+    """``value`` as a finite float, so 10 and 10.0 serialize alike."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if math.isfinite(number):
+        return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class _CanonicalConfig:
@@ -97,6 +102,7 @@ class RunConfig(_CanonicalConfig):
         # here surfaces those errors at configuration time.
         self.pulse_spec()
         component_alphabet(self.alphabet)
+        sigma2_from_snr_db(self.snr_db)
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}, "
                              f"got {self.estimator!r}")

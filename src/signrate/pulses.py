@@ -13,6 +13,7 @@ always carry unit energy regardless of how much the window clipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,13 +110,14 @@ class PulseSpec:
             raise ValueError(f"unknown pulse family {self.family!r}")
         if self.family == ROOT_RAISED_COSINE and not 0.0 <= self.shape <= 1.0:
             raise ValueError(f"roll-off must lie in [0, 1], got {self.shape}")
-        if self.family == GAUSSIAN and self.shape <= 0.0:
-            raise ValueError(f"3 dB bandwidth must be positive, got {self.shape}")
-        if self.signaling_ratio < 1.0:
-            raise ValueError(f"signaling ratio must be >= 1, got {self.signaling_ratio}")
-        if self.span_symbols < 1 or self.span_symbols % 2 == 0:
+        # Each guard states what a valid value satisfies, so NaN fails it.
+        if self.family == GAUSSIAN and not 0.0 < self.shape < math.inf:
+            raise ValueError(f"3 dB bandwidth must be positive and finite, got {self.shape}")
+        if not 1.0 <= self.signaling_ratio < math.inf:
+            raise ValueError(f"signaling ratio must be finite and >= 1, got {self.signaling_ratio}")
+        if not (self.span_symbols >= 1 and self.span_symbols % 2 == 1):
             raise ValueError(f"window must be a positive odd symbol count, got {self.span_symbols}")
-        if int(self.oversampling) != self.oversampling or self.oversampling < 1:
+        if not (self.oversampling >= 1 and self.oversampling % 1 == 0):
             raise ValueError(f"oversampling must be a positive integer, got {self.oversampling}")
 
 

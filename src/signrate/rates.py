@@ -58,11 +58,12 @@ def dmc_mutual_information(probs: np.ndarray, priors: np.ndarray) -> float:
     priors = np.asarray(priors, dtype=float)
     if probs.ndim != 2 or priors.shape != (probs.shape[0],):
         raise ValueError("need a 2-d table and matching priors")
-    if np.any(probs < 0.0):
+    # Each check states what valid input satisfies, so NaN fails it.
+    if not np.all(probs >= 0.0):
         raise ValueError("transition probabilities must be nonnegative")
-    if np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-6:
+    if not np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-6:
         raise ValueError("transition rows must sum to one")
-    if np.any(priors < 0.0) or abs(priors.sum() - 1.0) > 1e-9:
+    if not (np.all(priors >= 0.0) and abs(priors.sum() - 1.0) <= 1e-9):
         raise ValueError("priors must be a probability vector")
     marginal = priors @ probs
     return float(priors @ [_entropy_terms(row, marginal) for row in probs])

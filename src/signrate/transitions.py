@@ -32,7 +32,10 @@ Two estimators produce the table:
   fixed Gauss-Legendre rules, for three and four; only those tables
   are accepted when a second, coarser rule reproduces them.  Correlated
   noise is exact up to M = 4 and refused beyond that;
-  :func:`check_enumerable` owns that refusal and the budget's.
+  :func:`check_enumerable` owns that refusal and the budget's.  Only
+  this kernel uses scipy (``ndtr`` and ``owens_t``), and it imports
+  ``scipy.special`` the first time it runs, so importing the package
+  and Monte Carlo tables never load scipy.
 
 Both estimators exploit the sign symmetry of the model: negating the
 symbol window flips every output bit, so tables satisfy
@@ -43,11 +46,11 @@ bitwise by computing only half the input rows and mirroring.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
 from .channel import DiscreteChannel, flip_index
 from .errors import BudgetExceededError, CorrelatedNoiseError, QuadratureToleranceError
@@ -275,9 +278,18 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
 # -- Exact enumeration ----------------------------------------------------------
 
 
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use: only the exact kernel
+    needs ``ndtr`` and ``owens_t``, so importing the package or running
+    Monte Carlo tables never loads scipy."""
+    import scipy.special
+    return scipy.special
+
+
 def _sign_probs(t: np.ndarray) -> np.ndarray:
     """Columns Phi(-t) and Phi(t), from one normal tail per value."""
-    tail = ndtr(-np.abs(t))
+    tail = _special().ndtr(-np.abs(t))
     neg = t < 0
     return np.stack([np.where(neg, 1.0 - tail, tail),
                      np.where(neg, tail, 1.0 - tail)], axis=-1)
@@ -296,6 +308,7 @@ def _phi2(h: np.ndarray, k: np.ndarray, rho, phi_h: np.ndarray,
     is its limit 1/4 - asin(rho) / (2 pi).  ``rho`` broadcasts against
     ``h`` and ``k``.
     """
+    owens_t = _special().owens_t
     root = np.sqrt((1.0 - rho) * (1.0 + rho))
     with np.errstate(divide="ignore", invalid="ignore"):
         a_h = np.where(h == 0, np.copysign(np.inf, k),
@@ -322,6 +335,7 @@ def _plackett_term(h: np.ndarray, corr: np.ndarray, a: int, j: int,
     t = 1, so the Gauss-Legendre ``nodes`` are placed in u with
     t = 1 - u^2, which moves them off the interval.
     """
+    ndtr = _special().ndtr
     points, weights = nodes
     u = (points + 1.0) / 2.0
     t = 1.0 - u * u
@@ -368,6 +382,7 @@ def _subset_orthants(means: np.ndarray, chol: np.ndarray,
     negative samples are exactly T then follows by inclusion and
     exclusion, P = sum over U containing T of (-1)^|U - T| F(U).
     """
+    ndtr = _special().ndtr
     n, k = means.shape
     cov = chol @ chol.T
     sigma = np.sqrt(np.diagonal(cov))
@@ -498,8 +513,10 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
         residual = float(np.abs(table.sum(axis=1) - 1.0).max())
         if integrates:
             check = _orthant_table(means, chol, _GAUSS_LEGENDRE_CHECK)
-            residual = max(residual, float(np.abs(table - check).max()))
-        if residual > ENUM_TOL:
+            # np.maximum, unlike max, keeps a NaN from either side.
+            residual = float(np.maximum(residual, np.abs(table - check).max()))
+        # Written so that a NaN residual fails.
+        if not residual <= ENUM_TOL:
             raise QuadratureToleranceError(residual, ENUM_TOL)
         weights = np.prod(alpha.priors[digits[:, neighbors]], axis=1)
         codes = (digits[:, center_pos, None] * n_out + np.arange(n_out)).ravel()
@@ -510,7 +527,7 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     for i in range(n_levels - n_direct):
         probs[n_levels - 1 - i] = probs[i][flipped]
 
-    row_sums = probs.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
-        raise QuadratureToleranceError(float(np.abs(row_sums - 1.0).max()), 1e-9)
+    row_error = float(np.abs(probs.sum(axis=1) - 1.0).max())
+    if not row_error <= 1e-9:
+        raise QuadratureToleranceError(row_error, 1e-9)
     return TransitionTable(probs=probs, method="enum", samples=0)

@@ -5,17 +5,21 @@ Groups:
  2. rate: JSON payload, determinism, config file and overrides, refusals,
     output files that a failed write leaves whole and that a symlink
     redirects.
- 3. sweep: grid runs, resume notes, mismatch exit code, worker counts.
+ 3. sweep: grid runs, resume notes, mismatch exit code, worker counts;
+    with rate, non-finite or out-of-range numbers and strict JSON.
  4. regions: single and paired sweep inputs, mismatches.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from signrate import cli
 from signrate.cli import main
+from signrate.errors import QuadratureToleranceError
 from signrate.pulses import eval_rrc
 from signrate.sweeps import SWEEP_HEADER
 
@@ -306,6 +310,75 @@ def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     assert info.value.code == 2
     assert "--workers: must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf", "1e308", "-4000"])
+@pytest.mark.parametrize("command", ["rate-mc", "rate-enum", "sweep"])
+def test_snr_outside_its_range_exits_2(tmp_path, capsys, command, snr_db):
+    # NaN used to give rate 0 with exit 0, -4000 dB an OverflowError, and
+    # a sweep with a NaN SNR wrote its file and then exited 4 on reload.
+    out = tmp_path / "out"
+    if command == "sweep":
+        cfg_path = tmp_path / "grid.json"
+        _write_grid(cfg_path, snr_db=[5.0, float(snr_db)])
+        argv = ["sweep", "--config", str(cfg_path)]
+    else:
+        at = _RATE_ARGS.index("--snr-db")
+        argv = _RATE_ARGS[:at] + _RATE_ARGS[at + 2:] + [f"--snr-db={snr_db}"]
+        if command == "rate-mc":
+            argv[argv.index("enum")] = "mc"
+    code, stdout, stderr = _run(capsys, argv + ["--out", str(out)])
+    assert code == 2
+    assert "snr_db" in stderr
+    assert "Traceback" not in stderr
+    assert "[1/" not in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ratio", "nan"), ("--ratio", "inf"), ("--shape", "nan")])
+def test_non_finite_pulse_numbers_exit_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "rate.json"
+    argv = _RATE_ARGS + [f"{flag}={value}", "--out", str(out)]
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 2
+    assert "must be a finite number" in stderr
+    assert stdout == "" and not out.exists()
+
+
+def test_rate_json_refuses_nan(tmp_path, capsys, monkeypatch):
+    # NaN is not JSON; a result carrying one exits 2 and writes nothing.
+    real = cli.rate_for_config
+
+    def nan_rate(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs),
+                                   mutual_information=float("nan"))
+
+    monkeypatch.setattr(cli, "rate_for_config", nan_rate)
+    out = tmp_path / "rate.json"
+    code, stdout, stderr = _run(capsys, _RATE_ARGS + ["--out", str(out)])
+    assert code == 2
+    assert "JSON" in stderr
+    assert stdout == "" and not out.exists()
+
+
+def test_nan_deviation_refusal_is_strict_json(capsys, monkeypatch):
+    # A non-finite exact table is refused with deviation NaN, which JSON
+    # cannot spell; the refusal object carries null instead.
+    def refuse(*args, **kwargs):
+        raise QuadratureToleranceError(float("nan"), 1e-6)
+
+    monkeypatch.setattr(cli, "rate_for_config", refuse)
+    code, stdout, _ = _run(capsys, _RATE_ARGS)
+    assert code == 3
+
+    def no_constants(name):
+        raise AssertionError(f"{name} in the refusal object")
+
+    payload = json.loads(stdout, parse_constant=no_constants)["error"]
+    assert payload["achieved"] is None
+    assert payload["requested"] == 1e-6
 
 
 @pytest.mark.parametrize("overrides, message", [

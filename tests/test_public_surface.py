@@ -2,10 +2,19 @@
 each ``signrate`` module list only attributes that exist, each name once,
 so a deleted function cannot linger in an export list.  The package's
 ``__all__`` is stated nowhere but in its modules: it joins their lists,
-and each exported name is the module's own object."""
+and each exported name is the module's own object.
+
+The import set is pinned too: importing the package and the command line,
+and Monte Carlo rates and sweeps, load no scipy; the exact kernel loads
+``scipy.special`` the first time it runs."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import signrate
 
@@ -31,3 +40,46 @@ def test_all_names_resolve_once():
     for module in SURFACE_MODULES:
         for name in modules[module].__all__:
             assert getattr(signrate, name) is getattr(modules[module], name)
+
+
+# Run in a fresh interpreter: prints the scipy modules loaded after each
+# step as one JSON object.
+_IMPORT_SET_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {}
+import signrate
+import signrate.cli
+seen["import"] = scipy_modules()
+from signrate import RunConfig, SweepConfig, rate_for_config, run_sweep
+cell = dict(family="rrc", shape=0.5, signaling_ratio=1.25, oversampling=2,
+            alphabet="4qam", snr_db=10.0, samples=2000)
+rate_for_config(RunConfig(**cell, estimator="mc"), workers=2)
+seen["mc_rate"] = scipy_modules()
+grid = SweepConfig(family="rrc", beta=(0.5,), ratio=(1.0, 1.25),
+                   snr_db=(10.0,), oversampling=(2,), alphabets=("4qam",),
+                   estimator="mc", samples=2000)
+with tempfile.TemporaryDirectory() as tmp:
+    run_sweep(grid, Path(tmp) / "grid.csv")
+seen["mc_sweep"] = scipy_modules()
+rate_for_config(RunConfig(**cell, estimator="enum"))
+seen["enum_rate"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_monte_carlo_path_loads_no_scipy():
+    src = str(Path(signrate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == []
+    assert seen["mc_rate"] == []
+    assert seen["mc_sweep"] == []
+    assert "scipy.special" in seen["enum_rate"]

@@ -172,6 +172,19 @@ def test_pulse_spec_validation():
         PulseSpec(ROOT_RAISED_COSINE, 1.2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shape", float("nan")), ("shape", float("inf")),
+    ("signaling_ratio", float("nan")), ("signaling_ratio", float("inf")),
+    ("span_symbols", float("nan")), ("span_symbols", float("inf")),
+    ("oversampling", float("nan")), ("oversampling", float("inf"))])
+def test_pulse_spec_refuses_non_finite_numbers(field, value):
+    # Every comparison with NaN is false, so a guard that tests for the
+    # invalid side lets NaN through; a Gaussian pulse is the family whose
+    # shape has no upper bound.
+    with pytest.raises(ValueError):
+        PulseSpec(**{"family": GAUSSIAN, "shape": 0.5, field: value})
+
+
 # -- Group 4: matched combination ----------------------------------------------
 
 def test_impulse_leaves_filter_unchanged():

@@ -117,6 +117,17 @@ def test_mi_validates_inputs():
         dmc_mutual_information(np.eye(3), priors)
 
 
+def test_mi_refuses_nan_tables_and_priors():
+    # A NaN fails every check; before, NaN entries passed the checks and
+    # dropped out of the sum, so a NaN table had rate 0.
+    priors = np.array([0.5, 0.5])
+    for probs in (np.full((2, 2), np.nan), np.array([[1.0, 0.0], [np.nan, 1.0]])):
+        with pytest.raises(ValueError, match="transition"):
+            dmc_mutual_information(probs, priors)
+    with pytest.raises(ValueError, match="priors"):
+        dmc_mutual_information(np.eye(2), np.array([np.nan, 1.0]))
+
+
 # -- Group 2: invariances ---------------------------------------------------------
 
 def test_joint_amplitude_scaling_is_bitwise_exact():
@@ -271,6 +282,34 @@ def test_config_validation():
         _config(alphabet="64qam")
     with pytest.raises(ValueError):
         _config(signaling_ratio=0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("snr_db", float("nan")), ("snr_db", float("inf")),
+    ("snr_db", float("-inf")),
+    pytest.param("snr_db", 10 ** 400, id="snr_db-10**400"),
+    ("signaling_ratio", float("nan")), ("signaling_ratio", float("inf")),
+    ("shape", float("nan"))])
+def test_config_refuses_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        _config(**{field: value})
+
+
+@pytest.mark.parametrize("snr_db", [1e308, 3000.5, -3000.5, -4000.0])
+def test_config_refuses_snr_outside_its_range(snr_db):
+    # sigma2 = 10^(-snr_db / 10) underflows to 0 at 1e308 dB and
+    # overflows at -4000 dB; inside +-3000 dB it and the covariance built
+    # from it stay normal floats.
+    with pytest.raises(ValueError, match=r"snr_db must lie in \[-3000, 3000\]"):
+        _config(snr_db=snr_db)
+
+
+@pytest.mark.parametrize("estimator", ["mc", "enum"])
+def test_snr_at_the_ends_of_its_range_gives_a_rate(estimator):
+    for snr_db in (3000.0, -3000.0):
+        result = rate_for_config(_config(snr_db=snr_db, oversampling=2,
+                                         samples=1000, estimator=estimator))
+        assert 0.0 <= result.rate_bpcu <= 2.0
 
 
 def test_config_canonicalizes_integral_floats():

@@ -13,6 +13,8 @@ Groups:
  5. Table utilities: group tables, read-only arrays.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -223,6 +225,19 @@ def test_exact_table_rows_sum_to_one():
     table = enumerate_exact(ch)
     assert np.all(table.probs >= 0.0)
     assert np.max(np.abs(table.probs.sum(axis=1) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_exact_table_refuses_non_finite_channel(m):
+    # A NaN in A makes NaN tables, which every tolerance check used to
+    # pass (each compared with >); closed-form (M = 1) and integrating
+    # (correlated M = 3) tables are both refused.
+    ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.3, span_symbols=3,
+                            oversampling=m), "4qam", snr_db=8.0)
+    a = ch.A.copy()
+    a[0, 0] = np.nan
+    with pytest.raises(QuadratureToleranceError):
+        enumerate_exact(dataclasses.replace(ch, A=a))
 
 
 def test_enumeration_refuses_blown_budget():
