@@ -88,6 +88,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_pulse_flags(parser):
     parser.add_argument("--config", type=Path,
                         help="JSON file with configuration values")
@@ -150,8 +161,9 @@ def _parser() -> argparse.ArgumentParser:
     regions.add_argument("sweeps", nargs="+", type=Path,
                          help="one grid CSV with both alphabets, or two "
                               "grid CSVs with one alphabet each")
-    regions.add_argument("--snr-db", dest="snr_db", type=float, required=True)
-    regions.add_argument("--oversampling", type=int, required=True)
+    regions.add_argument("--snr-db", dest="snr_db", type=_finite_float,
+                         required=True)
+    regions.add_argument("--oversampling", type=_positive_int, required=True)
     regions.add_argument("--out", type=Path, required=True,
                          help="region CSV path")
     regions.set_defaults(handler=_cmd_regions)

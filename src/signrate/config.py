@@ -65,7 +65,9 @@ class _CanonicalConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # Fields hold numbers, strings or tuples of them, so a shallow dict
+        # is a whole copy; dataclasses.asdict would deep-copy every value.
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,

@@ -8,9 +8,9 @@ are resumed (only missing cells are computed), mismatching files raise
 :class:`GridMismatchError` instead of being overwritten.
 
 Cell order is fixed (alphabet, oversampling, shape, ratio, SNR, outer to
-inner) and files are always rewritten in that order, so two complete
-runs of the same grid produce byte-identical files regardless of worker
-count or how often they were interrupted.
+inner); files are read into and rewritten from one slot per cell in that
+order, so two complete runs of the same grid produce byte-identical
+files regardless of worker count or how often they were interrupted.
 
 On top of a finished grid, :func:`find_optimum` picks the
 bandwidth-normalized best (shape, ratio) cell for one alphabet, and
@@ -190,27 +190,22 @@ class SweepResult:
     config: SweepConfig
     rows: tuple
 
-    def by_key(self) -> dict:
-        return {row.key(): row for row in self.rows}
 
-
-def sweep_csv_text(result: SweepResult) -> str:
-    """Render rows in canonical cell order with the config echo line."""
-    by_key = result.by_key()
-    lines = [f"# config: {result.config.canonical_json()}", SWEEP_HEADER]
-    for key in result.config.cell_keys():
-        row = by_key.get(key)
-        if row is not None:
-            lines.append(row.to_csv_line())
-    return "\n".join(lines) + "\n"
+def sweep_csv_text(config: SweepConfig, lines) -> str:
+    """The sweep file of ``config``: the config echo line, the header, and
+    the rendered rows ``lines``, which must come in canonical cell order."""
+    return "\n".join([f"# config: {config.canonical_json()}", SWEEP_HEADER,
+                      *lines, ""])
 
 
 def load_sweep_csv(path) -> SweepResult:
-    """Read a sweep file, verifying the config echo and row keys.
+    """Read a sweep file, verifying the config echo and every row; rows
+    come back in canonical cell order.
 
     Anything but a sweep file of a valid grid (text that does not decode,
     a config line that is not JSON or not a whole grid, a row that does
-    not parse) raises :class:`GridMismatchError`.
+    not parse, is no cell of the grid, repeats one or contradicts its
+    pulse, seed or samples) raises :class:`GridMismatchError`.
     """
     try:
         text = Path(path).read_text()
@@ -227,23 +222,29 @@ def load_sweep_csv(path) -> SweepResult:
             f"{path}: malformed sweep config line: {err}") from None
     if len(lines) < 2 or lines[1] != SWEEP_HEADER:
         raise GridMismatchError(f"{path}: missing sweep header")
-    rows = []
+    # What every row of the grid repeats: exact cells record no samples.
+    fixed = (config.family, config.seed,
+             config.samples if config.estimator == "mc" else 0)
+    slots = dict.fromkeys(config.cell_keys())
     for line in lines[2:]:
         try:
-            rows.append(SweepRow.from_csv_line(line))
+            row = SweepRow.from_csv_line(line)
         except ValueError:
             raise GridMismatchError(
                 f"{path}: malformed sweep row: {line!r}") from None
-    valid = set(config.cell_keys())
-    seen = set()
-    for row in rows:
-        if row.key() not in valid:
+        key = row.key()
+        if key not in slots:
             raise GridMismatchError(
-                f"{path}: row {row.key()} is not a cell of the stored grid")
-        if row.key() in seen:
-            raise GridMismatchError(f"{path}: duplicate row {row.key()}")
-        seen.add(row.key())
-    return SweepResult(config=config, rows=tuple(rows))
+                f"{path}: row {key} is not a cell of the stored grid")
+        if slots[key] is not None:
+            raise GridMismatchError(f"{path}: duplicate row {key}")
+        if (row.family, row.seed, row.samples) != fixed:
+            raise GridMismatchError(
+                f"{path}: row {key} (pulse {row.family}, seed {row.seed}, "
+                f"samples {row.samples}) contradicts the stored grid")
+        slots[key] = row
+    return SweepResult(config=config,
+                       rows=tuple(filter(None, slots.values())))
 
 
 def replace_text(path: Path, text: str) -> None:
@@ -287,42 +288,51 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
               progress=None) -> SweepResult:
     """Evaluate a grid, resuming from ``out_path`` when it already exists.
 
-    An existing file must echo the same canonical configuration;
-    anything else raises :class:`GridMismatchError` rather than
-    overwriting foreign results.  Completed cells are reused verbatim,
-    missing ones are evaluated (``workers`` cells in parallel), and the
-    file is rewritten whole (:func:`replace_text`) in canonical order
-    after every recorded cell, so an interrupted run or a failed write
-    loses no recorded cell and every rewrite holds the same rows on
-    every run.  An enum grid with a cell that exact enumeration would
-    refuse raises that cell's refusal before any cell runs or the file
-    is written.  ``progress`` is called after every newly computed cell
-    with (completed cells, total cells, cell key), and with key ``None``
-    once an existing file is accepted.  An exception, from a cell,
+    An existing path that is no regular file raises :class:`ValueError`
+    before it is read; one that does not echo the same canonical
+    configuration raises :class:`GridMismatchError` rather than
+    overwriting foreign results.  Completed cells are reused, missing
+    ones are evaluated (``workers`` cells in parallel), and each row is
+    rendered once, into its cell's slot.  After every recorded cell the
+    file is rewritten whole (:func:`replace_text`) from the slots, in
+    canonical order, so an interrupted run or a failed write loses no
+    recorded cell and every rewrite holds the same rows on every run.
+    An enum grid with a cell that exact enumeration would refuse raises
+    that cell's refusal before any cell runs or the file is written.
+    ``progress`` is called after every newly computed cell with
+    (completed cells, total cells, cell key), and with key ``None`` once
+    an existing file is accepted.  An exception, from a cell,
     ``progress`` or Ctrl-C, stops the sweep: queued cells are cancelled,
     cells already running finish unrecorded, and the exception
-    propagates with every recorded cell already in the file.
+    propagates with every recorded cell already in the file.  The
+    returned rows are the file's, in canonical order.
     """
     out_path = Path(out_path)
-    done: dict = {}
-    total = config.n_cells()
+    # Cell key -> rendered row once recorded, in canonical cell order.
+    slots = dict.fromkeys(config.cell_keys())
+    total = len(slots)
     if out_path.exists():
+        if not out_path.is_file():  # a pipe or device: reading may hang
+            raise ValueError(
+                f"{out_path}: a sweep file must be a regular file")
         previous = load_sweep_csv(out_path)
         if previous.config != config:
             raise GridMismatchError(
                 f"{out_path}: existing sweep was built from a different "
                 f"grid (stored {previous.config.fingerprint()}, "
                 f"requested {config.fingerprint()})")
-        done = previous.by_key()
+        for row in previous.rows:
+            slots[row.key()] = row.to_csv_line()
         if progress is not None:
-            progress(len(done), total, None)
+            progress(len(previous.rows), total, None)
     _refuse_infeasible_enum(config)
 
-    todo = [key for key in config.cell_keys() if key not in done]
+    todo = [key for key, line in slots.items() if line is None]
+    done = total - len(todo)
 
     def flush():
-        result = SweepResult(config=config, rows=tuple(done.values()))
-        replace_text(out_path, sweep_csv_text(result))
+        replace_text(out_path,
+                     sweep_csv_text(config, filter(None, slots.values())))
 
     # The pool starts no thread until used, so one worker stays serial.
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -332,14 +342,16 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
         # Results are recorded, and the file rewritten, in the calling
         # thread only.
         for key, res in zip(todo, cells):
-            done[key] = SweepRow.from_result(res)
+            slots[key] = SweepRow.from_result(res).to_csv_line()
+            done += 1
             flush()
             if progress is not None:
-                progress(len(done), total, key)
+                progress(done, total, key)
     finally:
         pool.shutdown(cancel_futures=True)
     flush()
-    return load_sweep_csv(out_path)
+    return SweepResult(config=config,
+                       rows=tuple(map(SweepRow.from_csv_line, slots.values())))
 
 
 def merge_sweeps(a: SweepResult, b: SweepResult) -> SweepResult:
@@ -364,14 +376,30 @@ def merge_sweeps(a: SweepResult, b: SweepResult) -> SweepResult:
     return SweepResult(config=merged, rows=a.rows + b.rows)
 
 
-def _require_complete(result: SweepResult, cells) -> None:
-    have = set(result.by_key())
-    missing = [key for key in cells if key not in have]
+def _slice(result: SweepResult, alphabets, oversampling: int,
+           snr_db: float) -> dict:
+    """The rows of the (shape, ratio) planes of ``alphabets`` at one
+    (M, SNR) by cell key; a slice off the grid or incomplete raises
+    :class:`GridMismatchError`."""
+    cfg = result.config
+    if not set(alphabets) <= set(cfg.alphabets) \
+            or oversampling not in cfg.oversampling \
+            or snr_db not in cfg.snr_db:
+        raise GridMismatchError(
+            f"slice ({', '.join(alphabets)}, M={oversampling}, {snr_db} dB) "
+            f"is not part of the grid")
+    cells = dict.fromkeys(itertools.product(
+        alphabets, (oversampling,), cfg.beta, cfg.ratio, (snr_db,)))
+    for row in result.rows:
+        if row.key() in cells:
+            cells[row.key()] = row
+    missing = [key for key, row in cells.items() if row is None]
     if missing:
         shown = ", ".join(map(str, missing[:5]))
         more = "" if len(missing) <= 5 else f" and {len(missing) - 5} more"
         raise GridMismatchError(
             f"sweep is missing {len(missing)} cells: {shown}{more}")
+    return cells
 
 
 def find_optimum(result: SweepResult, *, alphabet: str, oversampling: int,
@@ -382,17 +410,7 @@ def find_optimum(result: SweepResult, *, alphabet: str, oversampling: int,
     smaller ratio, then the smaller shape value, so the reported optimum
     never claims more aggressive signaling than necessary.
     """
-    cfg = result.config
-    if alphabet not in cfg.alphabets or oversampling not in cfg.oversampling \
-            or snr_db not in cfg.snr_db:
-        raise GridMismatchError(
-            f"slice ({alphabet}, M={oversampling}, {snr_db} dB) is not part "
-            f"of the grid")
-    cells = [(alphabet, oversampling, b, r, snr_db)
-             for b in cfg.beta for r in cfg.ratio]
-    _require_complete(result, cells)
-    by_key = result.by_key()
-    rows = [by_key[key] for key in cells]
+    rows = _slice(result, (alphabet,), oversampling, snr_db).values()
     return min(rows, key=lambda row: (-row.rate_3db, row.ratio, row.beta))
 
 
@@ -423,22 +441,12 @@ def region_compare(result: SweepResult, *, snr_db: float,
     not separate.
     """
     cfg = result.config
-    needed = ("4qam", "16qam")
-    for alphabet in needed:
-        if alphabet not in cfg.alphabets:
-            raise GridMismatchError(f"grid lacks alphabet {alphabet!r}")
-    if oversampling not in cfg.oversampling or snr_db not in cfg.snr_db:
-        raise GridMismatchError(
-            f"slice (M={oversampling}, {snr_db} dB) is not part of the grid")
-    cells = [(a, oversampling, b, r, snr_db)
-             for a in needed for b in cfg.beta for r in cfg.ratio]
-    _require_complete(result, cells)
-    by_key = result.by_key()
+    cells = _slice(result, ("4qam", "16qam"), oversampling, snr_db)
     rows = []
     for beta in cfg.beta:
         for ratio in cfg.ratio:
-            low = by_key[("4qam", oversampling, beta, ratio, snr_db)]
-            high = by_key[("16qam", oversampling, beta, ratio, snr_db)]
+            low = cells[("4qam", oversampling, beta, ratio, snr_db)]
+            high = cells[("16qam", oversampling, beta, ratio, snr_db)]
             margin = high.rate_3db - low.rate_3db
             spread = 3.0 * float(np.hypot(low.stderr, high.stderr))
             if abs(margin) <= spread:

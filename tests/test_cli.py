@@ -5,23 +5,29 @@ Groups:
  2. rate: JSON payload, determinism, config file and overrides, refusals,
     output files that a failed write leaves whole and that a symlink
     redirects.
- 3. sweep: grid runs, resume notes, mismatch exit code, worker counts;
+ 3. sweep: grid runs, resume notes, mismatch exit code, worker counts,
+    targets that are no regular file, rows that contradict their grid;
     with rate, non-finite or out-of-range numbers and strict JSON.
- 4. regions: single and paired sweep inputs, mismatches.
+ 4. regions: single and paired sweep inputs, mismatches, slice flags.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signrate
 from signrate import cli
 from signrate.cli import main
 from signrate.errors import QuadratureToleranceError
 from signrate.pulses import eval_rrc
-from signrate.sweeps import SWEEP_HEADER
+from signrate.errors import GridMismatchError
+from signrate.sweeps import SWEEP_HEADER, load_sweep_csv
 
 
 def _run(capsys, argv):
@@ -420,6 +426,62 @@ def test_sweep_refuses_infeasible_enum_grid_up_front(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_sweep_to_a_device_exits_2(tmp_path, capsys):
+    # /dev/null used to be read as a resume file and exit 4.
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path)
+    code, _, stderr = _run(capsys, ["sweep", "--config", str(cfg_path),
+                                    "--out", os.devnull])
+    assert code == 2
+    assert "must be a regular file" in stderr
+    assert "[1/" not in stderr
+
+
+def test_sweep_to_a_fifo_exits_2_without_reading(tmp_path):
+    # Reading a FIFO as a resume file used to block until killed.
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    src = str(Path(signrate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "signrate.cli", "sweep", "--config",
+         str(cfg_path), "--out", str(fifo)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "must be a regular file" in proc.stderr
+    assert "[1/" not in proc.stderr
+
+
+@pytest.mark.parametrize("estimator, column, value", [
+    ("enum", "pulse", "gaussian"), ("enum", "seed", "99"),
+    ("enum", "samples", "123"), ("mc", "samples", "999")])
+def test_row_contradicting_its_grid_exits_4(tmp_path, capsys, estimator,
+                                            column, value):
+    # Only a row's key used to be checked, so an edited pulse, seed or
+    # sample count was kept on resume and read by regions.
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path, estimator=estimator)
+    out = tmp_path / "grid.csv"
+    assert _run(capsys, ["sweep", "--config", str(cfg_path),
+                         "--out", str(out)])[0] == 0
+    lines = out.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[SWEEP_HEADER.split(",").index(column)] = value
+    lines[2] = ",".join(fields)
+    edited = "\n".join(lines) + "\n"
+    out.write_text(edited)
+    with pytest.raises(GridMismatchError, match="contradicts the stored grid"):
+        load_sweep_csv(out)
+    code, _, stderr = _run(capsys, ["sweep", "--config", str(cfg_path),
+                                    "--out", str(out)])
+    assert code == 4
+    assert "contradicts the stored grid" in stderr
+    assert "resuming" not in stderr
+    assert out.read_text() == edited
+
+
 def test_sweep_requires_out(tmp_path, capsys):
     cfg_path = tmp_path / "grid.json"
     _write_grid(cfg_path)
@@ -514,6 +576,25 @@ def test_sweep_file_of_unknown_schema_exit_4(tmp_path, capsys):
         assert code == 4
         assert stderr.startswith(f"error: {future}: ")
         assert "unsupported schema version 2" in stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--snr-db", "nan", "--oversampling", "1"],
+    ["--snr-db=inf", "--oversampling", "1"],
+    ["--snr-db", "5", "--oversampling", "0"]])
+def test_regions_bad_slice_flags_exit_2(tmp_path, capsys, flags):
+    # These used to read as a file fault: exit 4, "not part of the grid".
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path)
+    sweep_out = tmp_path / "grid.csv"
+    assert _run(capsys, ["sweep", "--config", str(cfg_path),
+                         "--out", str(sweep_out)])[0] == 0
+    region_out = tmp_path / "regions.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["regions", str(sweep_out), *flags, "--out", str(region_out)])
+    assert info.value.code == 2
+    assert "must be a" in capsys.readouterr().err
+    assert not region_out.exists()
 
 
 def test_regions_missing_file_exit_2(tmp_path, capsys):

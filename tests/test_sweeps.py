@@ -4,13 +4,15 @@ Groups:
  1. Grid definition: default axes, cell order, counts, validation.
  2. CSV round trips and the config echo line.
  3. Running sweeps: determinism, resume, mismatch refusal, workers,
-    stopping, writes through a path that is no regular file.
+    stopping, writes through a path that is no regular file, one render
+    per row, canonical order from a shuffled file.
  4. Optimum search: completeness, tie-breaking.
  5. Region comparison: winners, ties, flags, CSV format.
 """
 
 import json
 import os
+import random
 import stat
 import time
 from pathlib import Path
@@ -19,6 +21,7 @@ import pytest
 
 from signrate import sweeps
 from signrate.errors import GridMismatchError
+from signrate.rates import RateResult
 from signrate.sweeps import (
     REGION_HEADER,
     SWEEP_HEADER,
@@ -43,6 +46,15 @@ def _tiny_sweep(**overrides):
                 samples=1000, seed=0)
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def _stub_rate(cfg):
+    """A rate result at once, for tests of the sweep bookkeeping."""
+    rate = cfg.shape + cfg.signaling_ratio / 3 + cfg.snr_db / 100
+    return RateResult(config=cfg, mutual_information=rate / 2,
+                      rate_bpcu=rate, rate_3db=rate * cfg.signaling_ratio,
+                      stderr=0.001 * rate, method=cfg.estimator,
+                      samples=cfg.samples if cfg.estimator == "mc" else 0)
 
 
 def _row(alphabet="4qam", m=1, beta=0.2, ratio=1.0, snr=5.0,
@@ -150,18 +162,18 @@ def test_row_csv_roundtrip():
 def test_sweep_csv_text_layout():
     grid = _tiny_sweep()
     rows = (_row(), _row(alphabet="16qam", rate=1.5))
-    text = sweep_csv_text(SweepResult(config=grid, rows=rows))
+    text = sweep_csv_text(grid, [row.to_csv_line() for row in rows])
     lines = text.splitlines()
     assert lines[0] == f"# config: {grid.canonical_json()}"
     assert lines[1] == SWEEP_HEADER
-    # Partial results keep canonical order: 4qam rows come first.
+    # A partial result: the lines follow the header in the order given.
     assert lines[2].startswith("4qam,1,rrc,0.2,1.0,5.0,")
     assert lines[3].startswith("16qam,1,rrc,0.2,1.0,5.0,")
 
 
 def test_load_rejects_foreign_rows(tmp_path):
     grid = _tiny_sweep()
-    good = sweep_csv_text(SweepResult(config=grid, rows=(_row(),)))
+    good = sweep_csv_text(grid, [_row().to_csv_line()])
     bad_row = good + _row(beta=0.9).to_csv_line() + "\n"
     path = tmp_path / "sweep.csv"
     path.write_text(bad_row)
@@ -352,6 +364,56 @@ def test_run_sweep_refuses_mismatched_file(tmp_path):
         run_sweep(_tiny_sweep(), out)
 
 
+def test_each_row_is_rendered_once(tmp_path, monkeypatch):
+    # Every rewrite used to render every recorded row again: about n^2/2
+    # renders for an n-cell sweep.
+    grid = default_grid(snr_db=(0.0, 10.0, 20.0))
+    assert grid.n_cells() >= 1000
+    renders = []
+    real_render = SweepRow.to_csv_line
+
+    def counted_render(row):
+        renders.append(row.key())
+        return real_render(row)
+
+    monkeypatch.setattr(sweeps, "rate_for_config", _stub_rate)
+    monkeypatch.setattr(SweepRow, "to_csv_line", counted_render)
+    out = tmp_path / "sweep.csv"
+    result = run_sweep(grid, out)
+    assert len(renders) <= grid.n_cells()
+    assert result.rows == load_sweep_csv(out).rows
+    complete = out.read_bytes()
+
+    # A resume renders each existing row once and each new row once.
+    kept = complete.decode().splitlines()[:2 + grid.n_cells() // 2]
+    out.write_text("\n".join(kept) + "\n")
+    renders.clear()
+    result = run_sweep(grid, out)
+    assert len(renders) <= grid.n_cells()
+    assert out.read_bytes() == complete
+    assert result.rows == load_sweep_csv(out).rows
+
+
+def test_shuffled_file_loads_and_resumes_in_canonical_order(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr(sweeps, "rate_for_config", _stub_rate)
+    grid = _tiny_sweep(beta=(0.2, 0.5), ratio=(1.0, 1.25, 1.5))
+    clean = tmp_path / "clean.csv"
+    run_sweep(grid, clean)
+    head = clean.read_text().splitlines()[:2]
+    rows = clean.read_text().splitlines()[2:]
+    # Two rows missing, the rest shuffled and apart by blank lines.
+    kept = [rows[i] for i in range(len(rows)) if i not in (3, 7)]
+    shuffled = random.Random(5).sample(kept, len(kept))
+    out = tmp_path / "shuffled.csv"
+    out.write_text("\n".join(head) + "\n\n" + "\n \n".join(shuffled) + "\n")
+    loaded = load_sweep_csv(out)
+    assert [row.to_csv_line() for row in loaded.rows] == kept
+    result = run_sweep(grid, out)
+    assert out.read_bytes() == clean.read_bytes()
+    assert result.rows == load_sweep_csv(clean).rows
+
+
 # -- Group 4: optimum search -----------------------------------------------------------------
 
 def _synthetic_result():
@@ -372,7 +434,7 @@ def _synthetic_result():
 def test_find_optimum_picks_best_normalized_rate():
     result = _synthetic_result()
     best = find_optimum(result, alphabet="4qam", oversampling=1, snr_db=5.0)
-    assert best == result.by_key()[("4qam", 1, 0.2, 1.25, 5.0)]
+    assert best == _row(beta=0.2, ratio=1.25, rate=1.10)
     assert best.rate_3db == pytest.approx(1.10 * 1.25)
     best16 = find_optimum(result, alphabet="16qam", oversampling=1, snr_db=5.0)
     assert best16.rate_3db == pytest.approx(1.30 * 1.25)
