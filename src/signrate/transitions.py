@@ -79,14 +79,14 @@ ENUM_BUDGET = 1 << 26
 # Largest quadrature deviation an exact table may carry.
 ENUM_TOL = 1e-6
 
-# Gauss-Legendre rules on [-1, 1], mapped onto the Plackett t-integrals:
+# Node counts of the Gauss-Legendre rules on the Plackett t-integrals:
 # tables use the first, and their difference from the second bounds the
 # quadrature error.
-_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(64)
-_GAUSS_LEGENDRE_CHECK = np.polynomial.legendre.leggauss(48)
+_GAUSS_LEGENDRE = 64
+_GAUSS_LEGENDRE_CHECK = 48
 
 # Rows of the kernel's innermost arrays per window chunk.
-_KERNEL_ROWS = 1 << 20
+_KERNEL_ROWS = 1 << 19
 
 
 @dataclasses.dataclass(frozen=True)
@@ -278,53 +278,239 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
 # -- Exact enumeration ----------------------------------------------------------
 
 
-@functools.cache
-def _special():
-    """``scipy.special``, imported on first use: only the exact kernel
-    needs ``ndtr`` and ``owens_t``, so importing the package or running
-    Monte Carlo tables never loads scipy."""
-    import scipy.special
-    return scipy.special
+# Cephes' rational approximations behind Phi (Moshier 1989), highest power
+# first: erf(z) = z T(z^2) / U(z^2) for z < 1, and
+# erfc(z) = exp(-z^2) P(z) / Q(z) for 1 <= z < 8, exp(-z^2) R(z) / S(z)
+# beyond.  Each range is a (numerator, denominator) pair of Horner
+# coefficients, zero-padded to degree 8; the numerators are scaled by -1/2
+# and 1/2, so that a range's ratio is -erf(z) / 2 or, times exp(-z^2),
+# erfc(z) / 2.  Indexed [power, numerator or denominator, range].
+_NDTR_EDGES = np.array([1.0, 8.0])
+_SQRT_HALF = 0.7071067811865476
+_NDTR_HORNER = np.array([
+    [(0.0, 0.0, 0.0, 0.0, 9.60497373987051638749e0,
+      9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4),
+     (0.0, 0.0, 0.0, 1.0, 3.35617141647503099647e1,
+      5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)],
+    [(2.46196981473530512524e-10, 5.64189564831068821977e-1,
+      7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2),
+     (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+      3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)],
+    [(0.0, 0.0, 0.0, 5.64189583547755073984e-1, 1.27536670759978104416e0,
+      5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0),
+     (0.0, 0.0, 1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+      1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198e0, 3.36907645100081516050e0)],
+]).transpose(2, 1, 0) * [[-0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]
+
+# Standardized thresholds are clipped to +-40, where Phi is 0 or 1 in
+# double precision (Phi(-40) < 1e-340), so no square of one overflows.
+_H_LIMIT = 40.0
+
+# |rho| edges of Genz's rules for the bivariate normal CDF: 6, 12 and 20
+# Gauss-Legendre nodes below 0.3, 0.75 and 0.925, and the asymptotic form
+# (20 nodes) above.
+_GENZ_EDGES = (0.3, 0.75, 0.925)
+_GENZ_NODES = (6, 12, 20, 20)
+
+
+def _cephes_ratio(z: np.ndarray) -> tuple:
+    """Cephes' rational at each z in [0, 40 / sqrt 2], and the mask z < 1.
+
+    Each element takes the Horner coefficients of its range of z, and one
+    Horner pass evaluates every element's rational.  The ratio r gives
+    -erf(z) / 2 = z r below z = 1 and erfc(z) / 2 = exp(-z^2) r above;
+    NaN stays NaN.
+    """
+    # Range 0, 1 or 2 of each z; NaN sorts last.
+    which = np.searchsorted(_NDTR_EDGES, z, side="right")
+    small = which == 0
+    v = np.where(small, z * z, z)
+    coef = _NDTR_HORNER.take(which, axis=-1)
+    acc = coef[0] * v
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= v
+        acc += c
+    return acc[0] / acc[1], small
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF, elementwise, as Cephes computes it.
+
+    With z = |x| / sqrt 2, Phi(x) is 1/2 +- erf(z) / 2 (z < 1), the tail
+    erfc(z) / 2 (x <= 0) or one minus it, each with one rounding.  Beyond
+    |x| = 40 the result is exactly 0 or 1; NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.abs(x)
+    np.minimum(z, _H_LIMIT, out=z)
+    z *= _SQRT_HALF
+    ratio, small = _cephes_ratio(z)
+    tail = np.where(small, z, np.exp(-z * z)) * ratio
+    # Phi(x) = base - tail above 0 and base' + tail below: the bases are
+    # 1/2 where z < 1 (the tail is then -erf(z) / 2), else 1 and 0.
+    below = 0.5 * small
+    return np.where(x > 0, (1.0 - below) - tail, below + tail)
 
 
 def _sign_probs(t: np.ndarray) -> np.ndarray:
     """Columns Phi(-t) and Phi(t), from one normal tail per value."""
-    tail = _special().ndtr(-np.abs(t))
+    tail = _ndtr(-np.abs(t))
     neg = t < 0
     return np.stack([np.where(neg, 1.0 - tail, tail),
                      np.where(neg, tail, 1.0 - tail)], axis=-1)
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """Points and weights of the n-node Gauss-Legendre rule on [-1, 1],
+    built on first use, so that importing the package or running Monte
+    Carlo tables never loads ``numpy.polynomial``."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(n)
+
+
+@functools.cache
+def _genz_rule(rule: int) -> tuple:
+    """Nodes and weights of Genz's ``rule`` for a mean over [0, 1]."""
+    points, weights = _gauss_legendre(_GENZ_NODES[rule])
+    return (1.0 + points) / 2.0, weights / 2.0
+
+
 def _phi2(h: np.ndarray, k: np.ndarray, rho, phi_h: np.ndarray,
           phi_k: np.ndarray) -> np.ndarray:
     """P(Z_0 < h, Z_1 < k) of standard normals with correlation ``rho``,
-    given ``phi_h`` = Phi(h) and ``phi_k`` = Phi(k).
+    given ``phi_h`` = Phi(h) and ``phi_k`` = Phi(k), for |h|, |k| <= 40.
 
-    It is Phi(h)/2 + Phi(k)/2 - (T(h, a_h) + T(k, a_k)) - beta through
-    Owen's T function, with a_h = (k - rho h) / (h root) and
-    root = sqrt(1 - rho^2), a_k likewise, a_h = +-inf at h = 0, and
-    beta = 0 when h and k have the same sign (zero counts as positive),
-    1/2 otherwise (Owen 1956; Genz 2004).  At h = k = 0 the Owen's T sum
-    is its limit 1/4 - asin(rho) / (2 pi).  ``rho`` broadcasts against
-    ``h`` and ``k``.
+    Genz's (2004) evaluation: the Drezner-Wesolowsky integral over the
+    correlation on 6, 12 or 20 Gauss-Legendre nodes for |rho| < 0.925,
+    and his asymptotic form about rho = +-1 above.  ``rho`` is a scalar,
+    or one value per position along the last axis of ``h`` and ``k``;
+    the rule, and every constant that depends on rho alone, is chosen
+    once per value, not per element.
     """
-    owens_t = _special().owens_t
-    root = np.sqrt((1.0 - rho) * (1.0 + rho))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_h = np.where(h == 0, np.copysign(np.inf, k),
-                       (k - rho * h) / (h * root))
-        a_k = np.where(k == 0, np.copysign(np.inf, h),
-                       (h - rho * k) / (k * root))
-    owen = np.where((h == 0) & (k == 0),
-                    0.25 - np.arcsin(rho) / (2.0 * np.pi),
-                    owens_t(h, a_h) + owens_t(k, a_k))
-    beta = np.where((h >= 0) == (k >= 0), 0.0, 0.5)
-    return 0.5 * (phi_h + phi_k) - owen - beta
+    rho = np.asarray(rho, dtype=float)
+    rule = np.searchsorted(_GENZ_EDGES, np.abs(rho), side="right")
+    if rho.ndim == 0:
+        return _genz(h, k, phi_h, phi_k, rho, int(rule))
+    # One row per value of rho, one column per element.
+    rows = [np.reshape(v, (-1, rho.size)).T for v in (h, k, phi_h, phi_k)]
+    out = np.empty(rows[0].shape)
+    for r in np.unique(rule):
+        sel = rule == r
+        out[sel] = _genz(*(v[sel] for v in rows), rho[sel], int(r))
+    return out.T.reshape(h.shape)
 
 
-def _plackett_term(h: np.ndarray, corr: np.ndarray, a: int, j: int,
-                   rest: list, nodes: tuple) -> np.ndarray:
-    """The (a, j) term of Plackett's identity for Phi_k(h; corr), k = 3, 4.
+def _exp_on_nodes(left: np.ndarray, right: np.ndarray, coef: np.ndarray
+                  ) -> np.ndarray:
+    """exp(left * coef[0] + right * coef[1]) on every node (last axis of
+    ``coef``), with exponents floored at -100.
+
+    Genz drops the node terms below exp(-100); flooring them there instead
+    moves a pair CDF by less than 1e-43, and keeps exp and the weighted
+    sums that follow off subnormal numbers, on which both run several
+    times slower.  np.maximum keeps a NaN.
+    """
+    values = np.empty(left.shape + (2,))
+    values[..., 0] = left
+    values[..., 1] = right
+    e = values @ coef
+    np.maximum(e, -100.0, out=e)
+    return np.exp(e, out=e)
+
+
+def _genz(h, k, phi_h, phi_k, rho, rule: int) -> np.ndarray:
+    """:func:`_phi2` for one rule: ``rho`` is a scalar, or one value per
+    row of ``h`` and ``k``.
+
+    Below |rho| = 0.925, Phi_2 is Phi(h) Phi(k) plus the integral over
+    theta from 0 to asin(rho) of exp(-(h^2 + k^2 - 2 hk sin theta) /
+    (2 cos^2 theta)) / (2 pi).  Above, with s the sign of rho, it is
+    Phi(min(h, k)) (s = 1) or P(-h < Z < k) (s = -1) less an integral
+    over x in [0, sqrt(1 - rho^2)] that is closed form near x = 0 and
+    integrated on the nodes for the rest.  Every exponent on the nodes
+    is linear in two per-element values, so one matrix product per row
+    with that row's node constants forms them all, and a second one takes
+    the weighted sums.  Degenerate |rho| = 1 is read as 1 - 1e-200, which
+    changes no result in double precision.
+    """
+    nodes, weights = _genz_rule(rule)
+    if rule < 3:
+        asr = np.arcsin(rho)[..., None]
+        theta = asr * nodes
+        inv = np.cos(theta)
+        inv *= inv
+        np.reciprocal(inv, out=inv)
+        coef = np.stack([np.sin(theta) * inv, -0.5 * inv], axis=-2)
+        e = _exp_on_nodes(h * k, h * h + k * k, coef)
+        return phi_h * phi_k + (e @ (weights * asr / (2.0 * np.pi))[..., None]
+                                )[..., 0]
+
+    s = np.sign(rho)[..., None]
+    hk = s * h * k
+    bs = h - s * k
+    b = np.abs(bs)
+    bs *= bs
+    # np.maximum keeps a NaN rho.
+    as_ = np.maximum((1.0 - rho) * (1.0 + rho), 1e-200)[..., None]
+    a = np.sqrt(as_)
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 80.0
+    # Both closed-form terms carry e0 = exp(-(bs / as + hk) / 2) <= 1:
+    # exp(-hk / 2) Phi(-b / a) = e0 exp(y^2) erfc(y) / 2 with
+    # y = b / (a sqrt 2).  Clipping y at 40 / sqrt 2 changes nothing, as
+    # e0 < exp(-0.96 y^2) then underflows to 0.
+    e0 = np.exp(-(bs / as_ + hk) / 2.0)
+    y = np.minimum(b / a, _H_LIMIT) * _SQRT_HALF
+    ratio, small = _cephes_ratio(y)
+    half_erfcx = np.where(small, np.exp(y * y * small) * (0.5 + y * ratio),
+                          ratio)
+    closed = e0 * (
+        a * (1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_)
+        - np.sqrt(2.0 * np.pi) * b * half_erfcx
+        * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+    # On the nodes x^2 = xs, the integrand is exp(-(bs / xs + hk) / 2)
+    # times (1 + c xs (1 + 5 d xs) - exp(-hk xs / (2 (1 + rs)^2)) / rs),
+    # rs = sqrt(1 - xs): two exponentials, one weighted sum each of
+    # 1, xs and xs^2 for the first and 1 / rs for the second.
+    xs = (a * nodes) ** 2
+    rs = np.sqrt(1.0 - xs)
+    n = nodes.size
+    coef = np.empty(xs.shape[:-1] + (2, 2 * n))
+    coef[..., 0, :n] = coef[..., 0, n:] = -0.5 / xs
+    coef[..., 1, :n] = -0.5
+    coef[..., 1, n:] = -0.5 - xs / (2.0 * (1.0 + rs) ** 2)
+    e = _exp_on_nodes(bs, hk, coef)
+    w = weights * a
+    sum_weights = np.zeros(xs.shape[:-1] + (2 * n, 4))
+    sum_weights[..., :n, 0] = w
+    sum_weights[..., :n, 1] = w * xs
+    sum_weights[..., :n, 2] = 5.0 * w * xs * xs
+    sum_weights[..., n:, 3] = -w / rs
+    sums = e @ sum_weights
+    rest = (sums[..., 0] + c * sums[..., 1] + c * d * sums[..., 2]
+            + sums[..., 3])
+    bvn = (rest - closed) / (2.0 * np.pi)
+    # P(-h < Z < k), each difference taken where it loses nothing.
+    between = np.where(h > 0, phi_k - (1.0 - phi_h), phi_h - (1.0 - phi_k))
+    return np.where(s > 0, np.minimum(phi_h, phi_k) + bvn,
+                    np.where(h + k > 0, between, 0.0) - bvn)
+
+
+def _plackett_terms(h: np.ndarray, corr: np.ndarray, a: int, j: int,
+                    rule: tuple):
+    """The (a, j) terms of Plackett's identity for Phi_k(h; corr), k = 3, 4,
+    as a function of the rest samples, which must lie after a.
 
     Along t in [0, 1] the correlations of sample a scale to t times their
     value, so R(t) mixes ``corr`` with a matrix where a is independent,
@@ -332,11 +518,14 @@ def _plackett_term(h: np.ndarray, corr: np.ndarray, a: int, j: int,
     Phi_{k-2}(h_rest | Z_a = h_a, Z_j = h_j; R(t)) (Plackett 1954; Genz
     2004).  The integrand steepens towards t = 1 when ``corr`` is nearly
     singular or |rho_aj| nearly one, with its singularities just beyond
-    t = 1, so the Gauss-Legendre ``nodes`` are placed in u with
-    t = 1 - u^2, which moves them off the interval.
+    t = 1, so the Gauss-Legendre points and weights of ``rule`` are placed
+    in u with t = 1 - u^2, which moves them off the interval.  The density
+    and the conditional law of every sample after a but j do not depend on
+    which of them are the rest, so they, and one :func:`_ndtr` call, are
+    shared by every subset whose (a, j) term this is.
     """
-    ndtr = _special().ndtr
-    points, weights = nodes
+    points, weights = rule
+    rest = [i for i in range(a + 1, h.shape[1]) if i != j]
     u = (points + 1.0) / 2.0
     t = 1.0 - u * u
     r = (t * corr[a, j])[:, None]
@@ -354,55 +543,69 @@ def _plackett_term(h: np.ndarray, corr: np.ndarray, a: int, j: int,
     h_a, h_j = h[:, a, None], h[:, j, None]
     x = (h[:, None, rest] - h_a[..., None] * w_a
          - h_j[..., None] * w_j) / sd
-    if len(rest) == 1:
-        inner = ndtr(x[..., 0])
-    else:
-        inner = _phi2(x[..., 0], x[..., 1],
-                      cov[:, 0, 1] / (sd[:, 0] * sd[:, 1]),
-                      ndtr(x[..., 0]), ndtr(x[..., 1]))
+    phi = _ndtr(x)
     r, det = r[:, 0], det[:, 0]
     density = np.exp(-(h_a * h_a - 2.0 * r * h_a * h_j + h_j * h_j)
                      / (2.0 * det)) / (2.0 * np.pi * np.sqrt(det))
     # dt = 2u du and du = dp / 2 on the nodes' [-1, 1].
-    return corr[a, j] * ((density * inner) @ (weights * u))
+    scaled = weights * u
+
+    def term(samples: list) -> np.ndarray:
+        cols = [rest.index(i) for i in samples]
+        if len(cols) == 1:
+            inner = phi[..., cols[0]]
+        else:
+            p, q = cols
+            inner = _phi2(x[..., p], x[..., q],
+                          cov[:, p, q] / (sd[:, p] * sd[:, q]),
+                          phi[..., p], phi[..., q])
+        return corr[a, j] * ((density * inner) @ scaled)
+
+    return term
 
 
 def _subset_orthants(means: np.ndarray, chol: np.ndarray,
-                     nodes: tuple) -> np.ndarray:
+                     nodes: int) -> np.ndarray:
     """P(sign pattern y) of ``means[r] + chol @ w`` for k = 2, 3 or 4
     correlated samples.
 
     F(U) = P(every sample in U negative) is a normal CDF Phi_|U| of the
-    standardized means h = -m / sigma at the samples' correlations: an
-    ``ndtr`` for one sample, Owen's T for two (reusing the two samples'
-    ``ndtr`` columns), and Plackett's identity,
+    standardized means h = -m / sigma (clipped to +-40) at the samples'
+    correlations: Phi for one sample, all singletons from one
+    :func:`_ndtr` call, Genz's :func:`_phi2` for two (reusing the two
+    samples' Phi columns), and Plackett's identity,
     Phi_|U| = Phi(h_a) Phi_{|U|-1}(U - a) plus a smooth t-integral per
     partner j of a (its lowest sample), for three and four; only those
-    integrals use the Gauss-Legendre ``nodes``.  The pattern whose
-    negative samples are exactly T then follows by inclusion and
+    integrals use the ``nodes``-point Gauss-Legendre rule.  The pattern
+    whose negative samples are exactly T then follows by inclusion and
     exclusion, P = sum over U containing T of (-1)^|U - T| F(U).
     """
-    ndtr = _special().ndtr
     n, k = means.shape
     cov = chol @ chol.T
     sigma = np.sqrt(np.diagonal(cov))
     corr = cov / np.outer(sigma, sigma)
-    h = -means / sigma
+    h = np.maximum(-means / sigma, -_H_LIMIT)
+    np.minimum(h, _H_LIMIT, out=h)
+    phi = _ndtr(h)
     cdf = np.ones((n, 1 << k))
+    # Plackett terms by (a, j), each shared by every subset it occurs in.
+    terms = {}
     # Dropping a bit gives a smaller mask, so Phi_{|U|-1}(U - a) is ready.
     for mask in range(1, 1 << k):
         a, *others = [j for j in range(k) if mask >> j & 1]
         if not others:
-            cdf[:, mask] = ndtr(h[:, a])
+            cdf[:, mask] = phi[:, a]
         elif len(others) == 1:
             b = others[0]
             cdf[:, mask] = _phi2(h[:, a], h[:, b], corr[a, b],
                                  cdf[:, 1 << a], cdf[:, 1 << b])
         else:
-            total = ndtr(h[:, a]) * cdf[:, mask & (mask - 1)]
+            total = phi[:, a] * cdf[:, mask & (mask - 1)]
             for j in others:
-                total += _plackett_term(
-                    h, corr, a, j, [i for i in others if i != j], nodes)
+                if (a, j) not in terms:
+                    terms[a, j] = _plackett_terms(h, corr, a, j,
+                                                  _gauss_legendre(nodes))
+                total += terms[a, j]([i for i in others if i != j])
             cdf[:, mask] = total
     # Moebius inversion over supersets, one sample (array axis) at a time;
     # the column of pattern y is then its negative set ~y.
@@ -417,7 +620,7 @@ def _subset_orthants(means: np.ndarray, chol: np.ndarray,
 
 
 def _orthant_table(means: np.ndarray, chol: np.ndarray,
-                   nodes: tuple = _GAUSS_LEGENDRE) -> np.ndarray:
+                   nodes: int = _GAUSS_LEGENDRE) -> np.ndarray:
     """P(sign pattern y) of ``means[r] + chol @ w`` for every row r.
 
     ``w`` is standard normal and ``chol`` lower triangular with a
@@ -426,8 +629,8 @@ def _orthant_table(means: np.ndarray, chol: np.ndarray,
     shares its white variable w_0, as a normal CDF factor, so tiny
     probabilities stay accurate relative to their size.  The 2, 3 or 4
     samples left once one does go to :func:`_subset_orthants`, which
-    integrates three or more with the Gauss-Legendre ``nodes`` (points
-    and weights on [-1, 1]).
+    integrates three or more with the ``nodes``-point Gauss-Legendre
+    rule.
     """
     n, k = means.shape
     col = chol[1:, 0]
@@ -492,10 +695,14 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     # quadrature-free, and a second node rule would reproduce it bit for
     # bit.
     integrates = any(chol[j + 1:, j].any() for j in range(m - 2))
-    # An integrating window holds nodes times (M - 2) rest samples per
-    # Plackett term in the kernel's largest arrays.
-    rows_per_window = _GAUSS_LEGENDRE[0].size * (m - 2) if integrates else 1
-    chunk = max(1, _KERNEL_ROWS // rows_per_window)
+    # Per window, the kernel's largest arrays hold the nodes times (M - 2)
+    # rest samples of an integrating Plackett term, or two exponentials on
+    # each of up to 20 Genz nodes per pair CDF, for each Plackett node
+    # where the pair is a term's two rest samples (M = 4).
+    plackett = _GAUSS_LEGENDRE * (m - 2) if integrates else 1
+    pairs = 2 * _GENZ_NODES[-1] * (_GAUSS_LEGENDRE if integrates and m == 4
+                                   else 1)
+    chunk = max(1, _KERNEL_ROWS // max(plackett, pairs))
 
     # Windows with the center in the lower half of the levels; the rest
     # mirrors.

@@ -14,6 +14,7 @@ Groups:
 """
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -306,10 +307,27 @@ def test_config_refuses_snr_outside_its_range(snr_db):
 
 @pytest.mark.parametrize("estimator", ["mc", "enum"])
 def test_snr_at_the_ends_of_its_range_gives_a_rate(estimator):
-    for snr_db in (3000.0, -3000.0):
-        result = rate_for_config(_config(snr_db=snr_db, oversampling=2,
-                                         samples=1000, estimator=estimator))
-        assert 0.0 <= result.rate_bpcu <= 2.0
+    # Standardized means reach about 1e150 at 3000 dB and 1e-150 at -3000
+    # dB; no numpy operation may overflow, divide by zero or go invalid.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for snr_db in (3000.0, -3000.0):
+            result = rate_for_config(_config(snr_db=snr_db, oversampling=2,
+                                             samples=1000,
+                                             estimator=estimator))
+            assert 0.0 <= result.rate_bpcu <= 2.0
+        # Both alphabets and pulse families at M = 1 to 4, on a short
+        # span.  A rate may miss its range by round-off: some exact cells
+        # read -1e-16 at -3000 dB.
+        for alphabet, family, m, snr_db in itertools.product(
+                ("4qam", "16qam"), ("rrc", "gaussian"), (1, 2, 3, 4),
+                (3000.0, -3000.0)):
+            result = rate_for_config(_config(
+                family=family, alphabet=alphabet, oversampling=m,
+                span_symbols=3, snr_db=snr_db, samples=1000,
+                estimator=estimator))
+            top = 2.0 * np.log2(component_alphabet(alphabet).size)
+            assert -1e-12 <= result.rate_bpcu <= top + 1e-12, (
+                alphabet, family, m, snr_db)
 
 
 def test_config_canonicalizes_integral_floats():

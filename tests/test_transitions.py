@@ -11,6 +11,8 @@ Groups:
     kernel against a single-pass reference, chunk reuse across sample
     budgets, agreement with exact tables, error calibration.
  5. Table utilities: group tables, read-only arrays.
+ 6. The kernel's normal CDFs: Phi against scipy's ``ndtr``, and Genz's
+    bivariate CDF against scipy's, on both of its branches.
 """
 
 import dataclasses
@@ -33,7 +35,9 @@ from signrate.transitions import (
     CHUNK_SAMPLES,
     ENUM_BUDGET,
     TransitionTable,
+    _ndtr,
     _orthant_table,
+    _phi2,
     component_cholesky,
     enumerate_exact,
     mc_estimate,
@@ -227,11 +231,12 @@ def test_exact_table_rows_sum_to_one():
     assert np.max(np.abs(table.probs.sum(axis=1) - 1.0)) < 1e-12
 
 
-@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_exact_table_refuses_non_finite_channel(m):
     # A NaN in A makes NaN tables, which every tolerance check used to
-    # pass (each compared with >); closed-form (M = 1) and integrating
-    # (correlated M = 3) tables are both refused.
+    # pass (each compared with >); closed-form (M = 1), pair (correlated
+    # M = 2) and integrating (correlated M = 3 and 4) tables are all
+    # refused.
     ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.3, span_symbols=3,
                             oversampling=m), "4qam", snr_db=8.0)
     a = ch.A.copy()
@@ -422,3 +427,62 @@ def test_table_arrays_read_only():
     table = enumerate_exact(ch)
     with pytest.raises(ValueError):
         table.probs[0, 0] = 0.5
+
+
+# -- Group 6: normal CDFs ------------------------------------------------------------------
+
+def test_ndtr_matches_scipy():
+    x = np.linspace(-40.0, 40.0, 400001)
+    expect = ndtr(x)
+    got = _ndtr(x)
+    err = np.abs(got - expect)
+    assert err.max() <= 2e-16
+    shown = expect >= 1e-300
+    assert np.max(err[shown] / expect[shown]) <= 5e-15
+    # Shape is kept; the ends are exact and NaN stays NaN.
+    assert np.array_equal(_ndtr(x[:12].reshape(3, 4)), got[:12].reshape(3, 4))
+    ends = _ndtr(np.array([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]))
+    assert ends.tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(_ndtr(np.array([np.nan, 1.0])))[0]
+
+
+# Genz's rules switch at |rho| = 0.3, 0.75 and 0.925 (asymptotic form).
+GENZ_RHOS = [s * r for r in (0.2, 0.6, 0.9, 0.924, 0.926, 0.99, 0.999999)
+             for s in (1, -1)]
+
+
+@pytest.mark.parametrize("rho", GENZ_RHOS)
+def test_phi2_matches_scipy_bivariate_cdf(rho):
+    rng = np.random.default_rng(7)
+    hk = np.concatenate([
+        [(0.0, 0.0), (0.0, 1.3), (0.0, -1.3), (2.1, 0.0), (-2.1, 0.0),
+         (0.0, -7.0), (1.5, 1.5), (-1.5, -1.5), (1.5, -1.5), (-6.0, 6.0)],
+        rng.normal(scale=2.5, size=(30, 2))])
+    h, k = hk.T
+    got = _phi2(h, k, rho, _ndtr(h), _ndtr(k))
+    mvn = multivariate_normal(mean=np.zeros(2), cov=[[1.0, rho], [rho, 1.0]],
+                              abseps=1e-15, releps=1e-15)
+    expect = np.array([mvn.cdf(point) for point in hk])
+    assert np.max(np.abs(got - expect)) <= 1e-14
+
+
+def test_phi2_rho_per_column_matches_scalar_rho():
+    # One rho per column, spanning all four rules, as the Plackett terms
+    # pass it: each column equals the scalar-rho evaluation.
+    rhos = np.array(GENZ_RHOS)
+    rng = np.random.default_rng(3)
+    h, k = rng.normal(scale=2.0, size=(2, 50, rhos.size))
+    got = _phi2(h, k, rhos, _ndtr(h), _ndtr(k))
+    for col, rho in enumerate(rhos):
+        expect = _phi2(h[:, col], k[:, col], rho, _ndtr(h[:, col]),
+                       _ndtr(k[:, col]))
+        assert np.max(np.abs(got[:, col] - expect)) <= 1e-16
+
+
+@pytest.mark.parametrize("rho", GENZ_RHOS)
+def test_phi2_keeps_nan(rho):
+    # A NaN threshold must come out NaN on either branch, even with
+    # finite Phi inputs: no cut-off may turn it into a number.
+    h = np.array([np.nan, 0.4, np.nan])
+    k = np.array([0.4, np.nan, np.nan])
+    assert np.isnan(_phi2(h, k, rho, np.full(3, 0.5), np.full(3, 0.5))).all()
