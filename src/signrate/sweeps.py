@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 import os
-import shutil
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -251,15 +251,32 @@ def replace_text(path: Path, text: str) -> None:
     """Write ``path`` whole through a sibling temp file and ``os.replace``,
     following a symlink and keeping a file's mode; a target that is no
     regular file (``/dev/stdout``) is written through."""
-    target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
+    target, mode = _resolve_target(path)
+    if mode is not None and not stat.S_ISREG(mode):
         target.write_text(text)
         return
+    _replace_file(target, text, mode)
+
+
+def _resolve_target(path) -> tuple:
+    """The file ``path`` names, symlinks followed, and its ``st_mode``, or
+    None while it does not exist."""
+    target = Path(os.path.realpath(path))
+    try:
+        return target, target.stat().st_mode
+    except FileNotFoundError:
+        return target, None
+
+
+def _replace_file(target: Path, text: str, mode) -> None:
+    """Write ``target`` whole through a sibling temp file and
+    ``os.replace``, giving it the permission bits of ``mode`` unless that
+    is None."""
     tmp = target.with_name(f".{target.name}.tmp")
     try:
         tmp.write_text(text)
-        if target.exists():
-            shutil.copymode(target, tmp)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -294,9 +311,12 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     overwriting foreign results.  Completed cells are reused, missing
     ones are evaluated (``workers`` cells in parallel), and each row is
     rendered once, into its cell's slot.  After every recorded cell the
-    file is rewritten whole (:func:`replace_text`) from the slots, in
-    canonical order, so an interrupted run or a failed write loses no
-    recorded cell and every rewrite holds the same rows on every run.
+    file is rewritten whole from the slots, in canonical order, as
+    :func:`replace_text` writes it, so an interrupted run or a failed
+    write loses no recorded cell and every rewrite holds the same rows on
+    every run; the path, a symlink followed, and the file's mode are read
+    once per sweep.  A sweep with no cell left to compute rewrites the
+    file once.
     An enum grid with a cell that exact enumeration would refuse raises
     that cell's refusal before any cell runs or the file is written.
     ``progress`` is called after every newly computed cell with
@@ -311,8 +331,10 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     # Cell key -> rendered row once recorded, in canonical cell order.
     slots = dict.fromkeys(config.cell_keys())
     total = len(slots)
-    if out_path.exists():
-        if not out_path.is_file():  # a pipe or device: reading may hang
+    # Every rewrite replaces this file and gives it this mode.
+    target, mode = _resolve_target(out_path)
+    if mode is not None:
+        if not stat.S_ISREG(mode):  # a pipe or device: reading may hang
             raise ValueError(
                 f"{out_path}: a sweep file must be a regular file")
         previous = load_sweep_csv(out_path)
@@ -331,8 +353,9 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     done = total - len(todo)
 
     def flush():
-        replace_text(out_path,
-                     sweep_csv_text(config, filter(None, slots.values())))
+        _replace_file(target,
+                      sweep_csv_text(config, filter(None, slots.values())),
+                      mode)
 
     # The pool starts no thread until used, so one worker stays serial.
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -349,7 +372,10 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
                 progress(done, total, key)
     finally:
         pool.shutdown(cancel_futures=True)
-    flush()
+    # The last cell's rewrite wrote the final text; a sweep with nothing
+    # left to compute rewrites its file once.
+    if not todo:
+        flush()
     return SweepResult(config=config,
                        rows=tuple(map(SweepRow.from_csv_line, slots.values())))
 

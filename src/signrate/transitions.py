@@ -27,15 +27,16 @@ Two estimators produce the table:
   sample whose noise no later sample shares contributes a normal CDF
   factor.  The 2, 3 or 4 correlated samples left take every sign
   pattern by inclusion and exclusion from normal CDFs of their subsets:
-  Owen's T function for pairs, so M <= 2 and diagonal noise need no
-  quadrature, and Plackett's identity, one smooth integral each with
-  fixed Gauss-Legendre rules, for three and four; only those tables
-  are accepted when a second, coarser rule reproduces them.  Correlated
+  Phi from Cephes' rational approximations, Genz's fixed-node form for
+  pairs, so M <= 2 and diagonal noise need no adaptive quadrature, and
+  Plackett's identity, one smooth integral each with fixed
+  Gauss-Legendre rules, for three and four; only those tables are
+  accepted when a second, coarser rule reproduces them.  Correlated
   noise is exact up to M = 4 and refused beyond that;
-  :func:`check_enumerable` owns that refusal and the budget's.  Only
-  this kernel uses scipy (``ndtr`` and ``owens_t``), and it imports
-  ``scipy.special`` the first time it runs, so importing the package
-  and Monte Carlo tables never load scipy.
+  :func:`check_enumerable` owns that refusal and the budget's.  The
+  kernel is numpy alone; its quadrature rules are built the first time
+  it runs, so importing the package and Monte Carlo tables load no
+  ``numpy.polynomial``.
 
 Both estimators exploit the sign symmetry of the model: negating the
 symbol window flips every output bit, so tables satisfy
@@ -284,10 +285,10 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
 # beyond.  Each range is a (numerator, denominator) pair of Horner
 # coefficients, zero-padded to degree 8; the numerators are scaled by -1/2
 # and 1/2, so that a range's ratio is -erf(z) / 2 or, times exp(-z^2),
-# erfc(z) / 2.  Indexed [power, numerator or denominator, range].
-_NDTR_EDGES = np.array([1.0, 8.0])
+# erfc(z) / 2.  Row 2 i + 0 (numerator) or 1 (denominator) holds the i-th
+# coefficients, one column per range.
 _SQRT_HALF = 0.7071067811865476
-_NDTR_HORNER = np.array([
+_NDTR_HORNER = (np.array([
     [(0.0, 0.0, 0.0, 0.0, 9.60497373987051638749e0,
       9.00260197203842689217e1, 2.23200534594684319226e3,
       7.00332514112805075473e3, 5.55923013010394962768e4),
@@ -309,7 +310,7 @@ _NDTR_HORNER = np.array([
      (0.0, 0.0, 1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
       1.20489539808096656605e1, 1.70814450747565897222e1,
       9.60896809063285878198e0, 3.36907645100081516050e0)],
-]).transpose(2, 1, 0) * [[-0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]
+]).transpose(2, 1, 0) * [[-0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]).reshape(18, 3)
 
 # Standardized thresholds are clipped to +-40, where Phi is 0 or 1 in
 # double precision (Phi(-40) < 1e-340), so no square of one overflows.
@@ -325,16 +326,22 @@ _GENZ_NODES = (6, 12, 20, 20)
 def _cephes_ratio(z: np.ndarray) -> tuple:
     """Cephes' rational at each z in [0, 40 / sqrt 2], and the mask z < 1.
 
-    Each element takes the Horner coefficients of its range of z, and one
-    Horner pass evaluates every element's rational.  The ratio r gives
+    One product of the coefficient table with the one-hot range of every
+    element gives each its own coefficients, exactly, and one Horner pass
+    evaluates every element's rational.  The ratio r gives
     -erf(z) / 2 = z r below z = 1 and erfc(z) / 2 = exp(-z^2) r above;
     NaN stays NaN.
     """
-    # Range 0, 1 or 2 of each z; NaN sorts last.
-    which = np.searchsorted(_NDTR_EDGES, z, side="right")
-    small = which == 0
+    flat = z.ravel()
+    above = flat >= 1.0
+    beyond = flat >= 8.0
+    ranges = np.empty((3, flat.size))
+    np.logical_not(above, out=ranges[0])
+    np.not_equal(above, beyond, out=ranges[1])
+    ranges[2] = beyond
+    coef = (_NDTR_HORNER @ ranges).reshape((9, 2) + z.shape)
+    small = ~above.reshape(z.shape)
     v = np.where(small, z * z, z)
-    coef = _NDTR_HORNER.take(which, axis=-1)
     acc = coef[0] * v
     acc += coef[1]
     for c in coef[2:]:
@@ -417,7 +424,7 @@ def _exp_on_nodes(left: np.ndarray, right: np.ndarray, coef: np.ndarray
     ``coef``), with exponents floored at -100.
 
     Genz drops the node terms below exp(-100); flooring them there instead
-    moves a pair CDF by less than 1e-43, and keeps exp and the weighted
+    moves a pair CDF by less than 1e-40, and keeps exp and the weighted
     sums that follow off subnormal numbers, on which both run several
     times slower.  np.maximum keeps a NaN.
     """
@@ -441,8 +448,8 @@ def _genz(h, k, phi_h, phi_k, rho, rule: int) -> np.ndarray:
     integrated on the nodes for the rest.  Every exponent on the nodes
     is linear in two per-element values, so one matrix product per row
     with that row's node constants forms them all, and a second one takes
-    the weighted sums.  Degenerate |rho| = 1 is read as 1 - 1e-200, which
-    changes no result in double precision.
+    the weighted sums.  1 - rho^2 is floored at 1e-200, which changes no
+    result in double precision and lets |rho| = 1 through.
     """
     nodes, weights = _genz_rule(rule)
     if rule < 3:
@@ -677,8 +684,8 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     Gauss-Legendre nodes.  :class:`QuadratureToleranceError` is raised
     when a window's probabilities miss a sum of one by more than
     ``ENUM_TOL``, and, where a t-integral runs, when the tables from 64
-    and from 48 nodes differ by more than that; a quadrature-free table
-    is computed once.  Rows come out bitwise sign-symmetric because the
+    and from 48 nodes differ by more than that; a table without a
+    t-integral is computed once.  Rows come out bitwise sign-symmetric because the
     upper half is a mirrored copy of the lower half.
     """
     alpha = ch.alphabet
@@ -691,9 +698,8 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     m = ch.oversampling
     # The kernel integrates over t only when a sample that shares its
     # white variable with a later one precedes the last two (a correlated
-    # block of three or more samples); every other table is
-    # quadrature-free, and a second node rule would reproduce it bit for
-    # bit.
+    # block of three or more samples); no other table reads the Plackett
+    # nodes, and a second node rule would reproduce it bit for bit.
     integrates = any(chol[j + 1:, j].any() for j in range(m - 2))
     # Per window, the kernel's largest arrays hold the nodes times (M - 2)
     # rest samples of an integrating Plackett term, or two exponentials on

@@ -5,7 +5,8 @@ Groups:
  2. CSV round trips and the config echo line.
  3. Running sweeps: determinism, resume, mismatch refusal, workers,
     stopping, writes through a path that is no regular file, one render
-    per row, canonical order from a shuffled file.
+    per row, one file replacement per computed cell, canonical order
+    from a shuffled file.
  4. Optimum search: completeness, tie-breaking.
  5. Region comparison: winners, ties, flags, CSV format.
 """
@@ -392,6 +393,46 @@ def test_each_row_is_rendered_once(tmp_path, monkeypatch):
     assert len(renders) <= grid.n_cells()
     assert out.read_bytes() == complete
     assert result.rows == load_sweep_csv(out).rows
+
+
+def test_sweep_replaces_its_file_once_per_cell(tmp_path, monkeypatch):
+    # A fresh sweep used to rewrite its file once more after its last
+    # cell; a no-op resume rewrites it once.  Through a symlink, the
+    # link and the mode of the file it names survive every rewrite.
+    monkeypatch.setattr(sweeps, "rate_for_config", _stub_rate)
+    replaced = []
+    real_replace = os.replace
+
+    def counted_replace(src, dst, *args, **kwargs):
+        replaced.append(Path(dst))
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", counted_replace)
+    grid = _tiny_sweep(beta=(0.2, 0.5), ratio=(1.0, 1.25, 1.5))
+    target = tmp_path / "data" / "sweep.csv"
+    target.parent.mkdir()
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    run_sweep(grid, link)
+    assert replaced == [target] * grid.n_cells()
+    complete = target.read_bytes()
+
+    # A resume that computes five cells, into a file of mode 0o640.
+    rows = complete.decode().splitlines()
+    target.write_text("\n".join(rows[:-5]) + "\n")
+    target.chmod(0o640)
+    replaced.clear()
+    run_sweep(grid, link)
+    assert replaced == [target] * 5
+    assert link.is_symlink() and link.resolve() == target
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert target.read_bytes() == complete
+
+    replaced.clear()
+    run_sweep(grid, link)
+    assert replaced == [target]
+    assert target.read_bytes() == complete
+    assert sorted(p.name for p in target.parent.iterdir()) == ["sweep.csv"]
 
 
 def test_shuffled_file_loads_and_resumes_in_canonical_order(tmp_path,
