@@ -86,8 +86,8 @@ ENUM_TOL = 1e-6
 _GAUSS_LEGENDRE = 64
 _GAUSS_LEGENDRE_CHECK = 48
 
-# Rows of the kernel's innermost arrays per window chunk.
-_KERNEL_ROWS = 1 << 19
+# Elements of the kernel's largest arrays per window chunk.
+_KERNEL_ROWS = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -455,9 +455,7 @@ def _genz(h, k, phi_h, phi_k, rho, rule: int) -> np.ndarray:
     if rule < 3:
         asr = np.arcsin(rho)[..., None]
         theta = asr * nodes
-        inv = np.cos(theta)
-        inv *= inv
-        np.reciprocal(inv, out=inv)
+        inv = 1.0 / np.cos(theta) ** 2
         coef = np.stack([np.sin(theta) * inv, -0.5 * inv], axis=-2)
         e = _exp_on_nodes(h * k, h * h + k * k, coef)
         return phi_h * phi_k + (e @ (weights * asr / (2.0 * np.pi))[..., None]
@@ -480,6 +478,7 @@ def _genz(h, k, phi_h, phi_k, rho, rule: int) -> np.ndarray:
     e0 = np.exp(-(bs / as_ + hk) / 2.0)
     y = np.minimum(b / a, _H_LIMIT) * _SQRT_HALF
     ratio, small = _cephes_ratio(y)
+    # exp(y^2) only where y < 1: elsewhere it could overflow unused.
     half_erfcx = np.where(small, np.exp(y * y * small) * (0.5 + y * ratio),
                           ratio)
     closed = e0 * (
@@ -685,8 +684,8 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     when a window's probabilities miss a sum of one by more than
     ``ENUM_TOL``, and, where a t-integral runs, when the tables from 64
     and from 48 nodes differ by more than that; a table without a
-    t-integral is computed once.  Rows come out bitwise sign-symmetric because the
-    upper half is a mirrored copy of the lower half.
+    t-integral is computed once.  Rows come out bitwise sign-symmetric
+    because the upper half is a mirrored copy of the lower half.
     """
     alpha = ch.alphabet
     n_levels = alpha.size
@@ -701,10 +700,9 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     # block of three or more samples); no other table reads the Plackett
     # nodes, and a second node rule would reproduce it bit for bit.
     integrates = any(chol[j + 1:, j].any() for j in range(m - 2))
-    # Per window, the kernel's largest arrays hold the nodes times (M - 2)
-    # rest samples of an integrating Plackett term, or two exponentials on
-    # each of up to 20 Genz nodes per pair CDF, for each Plackett node
-    # where the pair is a term's two rest samples (M = 4).
+    # Per window, the kernel's largest arrays hold the Plackett nodes
+    # times the M - 2 rest samples, or the two exponentials on each of up
+    # to 20 Genz nodes of a pair CDF (at M = 4, once per Plackett node).
     plackett = _GAUSS_LEGENDRE * (m - 2) if integrates else 1
     pairs = 2 * _GENZ_NODES[-1] * (_GAUSS_LEGENDRE if integrates and m == 4
                                    else 1)

@@ -396,9 +396,9 @@ def test_each_row_is_rendered_once(tmp_path, monkeypatch):
 
 
 def test_sweep_replaces_its_file_once_per_cell(tmp_path, monkeypatch):
-    # A fresh sweep used to rewrite its file once more after its last
-    # cell; a no-op resume rewrites it once.  Through a symlink, the
-    # link and the mode of the file it names survive every rewrite.
+    # A sweep replaces its file once per computed cell, with no extra
+    # rewrite after the last; a no-op resume replaces it once.  Through
+    # a symlink, the link and the mode of the file it names survive.
     monkeypatch.setattr(sweeps, "rate_for_config", _stub_rate)
     replaced = []
     real_replace = os.replace

@@ -443,7 +443,7 @@ def test_ndtr_matches_scipy():
     assert np.array_equal(_ndtr(x[:12].reshape(3, 4)), got[:12].reshape(3, 4))
     ends = _ndtr(np.array([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]))
     assert ends.tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
-    assert np.isnan(_ndtr(np.array([np.nan, 1.0])))[0]
+    assert np.isnan(_ndtr(np.array([np.nan]))).all()
 
 
 # Genz's rules switch at |rho| = 0.3, 0.75 and 0.925 (asymptotic form).
@@ -468,7 +468,8 @@ def test_phi2_matches_scipy_bivariate_cdf(rho):
 
 def test_phi2_rho_per_column_matches_scalar_rho():
     # One rho per column, spanning all four rules, as the Plackett terms
-    # pass it: each column equals the scalar-rho evaluation.
+    # pass it: each column matches the scalar-rho evaluation up to the
+    # order of the matrix products' sums.
     rhos = np.array(GENZ_RHOS)
     rng = np.random.default_rng(3)
     h, k = rng.normal(scale=2.0, size=(2, 50, rhos.size))
@@ -476,7 +477,7 @@ def test_phi2_rho_per_column_matches_scalar_rho():
     for col, rho in enumerate(rhos):
         expect = _phi2(h[:, col], k[:, col], rho, _ndtr(h[:, col]),
                        _ndtr(k[:, col]))
-        assert np.max(np.abs(got[:, col] - expect)) <= 1e-16
+        assert np.max(np.abs(got[:, col] - expect)) <= 1e-15
 
 
 @pytest.mark.parametrize("rho", GENZ_RHOS)
