@@ -46,6 +46,7 @@ bitwise by computing only half the input rows and mirroring.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import threading
@@ -405,10 +406,11 @@ def _phi2(h: np.ndarray, k: np.ndarray, rho, phi_h: np.ndarray,
     the rule, and every constant that depends on rho alone, is chosen
     once per value, not per element.
     """
-    rho = np.asarray(rho, dtype=float)
+    if np.ndim(rho) == 0:
+        rho = float(rho)
+        return _genz(h, k, phi_h, phi_k, rho,
+                     bisect.bisect_right(_GENZ_EDGES, abs(rho)))
     rule = np.searchsorted(_GENZ_EDGES, np.abs(rho), side="right")
-    if rho.ndim == 0:
-        return _genz(h, k, phi_h, phi_k, rho, int(rule))
     # One row per value of rho, one column per element.
     rows = [np.reshape(v, (-1, rho.size)).T for v in (h, k, phi_h, phi_k)]
     out = np.empty(rows[0].shape)
@@ -456,7 +458,9 @@ def _genz(h, k, phi_h, phi_k, rho, rule: int) -> np.ndarray:
         asr = np.arcsin(rho)[..., None]
         theta = asr * nodes
         inv = 1.0 / np.cos(theta) ** 2
-        coef = np.stack([np.sin(theta) * inv, -0.5 * inv], axis=-2)
+        coef = np.empty(theta.shape[:-1] + (2, nodes.size))
+        np.multiply(np.sin(theta), inv, out=coef[..., 0, :])
+        np.multiply(inv, -0.5, out=coef[..., 1, :])
         e = _exp_on_nodes(h * k, h * h + k * k, coef)
         return phi_h * phi_k + (e @ (weights * asr / (2.0 * np.pi))[..., None]
                                 )[..., 0]
