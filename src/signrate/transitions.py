@@ -397,7 +397,7 @@ def _genz_rule(rule: int) -> tuple:
 def _phi2(h: np.ndarray, k: np.ndarray, rho, phi_h: np.ndarray,
           phi_k: np.ndarray) -> np.ndarray:
     """P(Z_0 < h, Z_1 < k) of standard normals with correlation ``rho``,
-    given ``phi_h`` = Phi(h) and ``phi_k`` = Phi(k), for |h|, |k| <= 40.
+    given ``phi_h`` = Phi(h) and ``phi_k`` = Phi(k), for finite h and k.
 
     Genz's (2004) evaluation: the Drezner-Wesolowsky integral over the
     correlation on 6, 12 or 20 Gauss-Legendre nodes for |rho| < 0.925,
