@@ -41,8 +41,10 @@ with np.printoptions(precision=3, suppress=True):
 # -- Noise correlation ------------------------------------------------------------
 #
 # The receive filter colors the noise, so the M samples of an interval are
-# not independent.  R collects their covariance; the unit diagonal times
-# sigma2 restates the per-sample SNR convention.
+# not independent.  R collects their covariance: sigma2 times the
+# autocorrelation of the receive filter's taps at the sample lags.  The
+# taps have unit energy, so the diagonal restates the per-sample SNR
+# convention.
 
 print()
 with np.printoptions(precision=3, suppress=True):

@@ -9,9 +9,10 @@ interest and white Gaussian noise n on the receive path, those M values are
 where U places the symbols on the sample grid (one symbol every M samples),
 H reads the combined transmit-receive response at the M sampling phases, and
 G reads the receive filter alone.  The noise entering the M samples is then
-Gaussian with covariance R = sigma2 * G G^T.  The estimators only ever see
-the collapsed operator A = H U and the covariance R, so that is what the
-model stores (with G, whose sparsity tells independent noise apart).
+Gaussian with covariance R = sigma2 * G G^T, whose entry (i, j) is sigma2
+times the receive filter's autocorrelation at lag |i - j|.  The estimators
+only ever see the collapsed operator A = H U and the covariance R, so the
+model stores A, sigma2 and the receive filter's taps, and derives R.
 
 Complex constellations are handled per real component throughout: a square
 QAM symbol is two independent amplitude components, each carrying half the
@@ -55,27 +56,6 @@ def sigma2_from_snr_db(snr_db: float) -> float:
         raise ValueError(f"snr_db must lie in [-{SNR_DB_LIMIT:g}, "
                          f"{SNR_DB_LIMIT:g}] dB, got {snr_db!r}")
     return float(10.0 ** (-snr_db / 10.0))
-
-
-def build_toeplitz(taps: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Banded matrix whose row r holds the reversed filter at offset r.
-
-    Row r computes the filter output one sample after row r - 1.  The
-    filter must fit inside every row; a longer filter means the model
-    window was sized inconsistently, so this raises instead of truncating.
-    """
-    taps = np.asarray(taps, dtype=float)
-    if taps.ndim != 1:
-        raise ValueError("filter taps must be one-dimensional")
-    if taps.size + rows - 1 > cols:
-        raise ValueError(
-            f"filter of length {taps.size} does not fit {rows} shifted rows "
-            f"in {cols} columns")
-    out = np.zeros((rows, cols))
-    rev = taps[::-1]
-    for r in range(rows):
-        out[r, r:r + taps.size] = rev
-    return out
 
 
 def flip_index(index, m: int):
@@ -155,7 +135,8 @@ class DiscreteChannel:
     """Fully assembled per-interval observation model.
 
     ``A = H U`` maps the L + 1 symbol window directly to the M sample
-    means; ``G`` is the noise matrix and ``R`` the noise covariance of one
+    means.  ``noise_taps`` is the unit-energy receive filter that colours
+    noise of variance ``sigma2``; ``R`` is the noise covariance of one
     complex component pair, so a single real component sees
     ``R_component = R / 2``.
     """
@@ -164,15 +145,24 @@ class DiscreteChannel:
     oversampling: int
     memory: int
     sigma2: float
-    G: np.ndarray
-    R: np.ndarray
+    noise_taps: np.ndarray
     A: np.ndarray
 
     def __post_init__(self):
-        for field in ("G", "R", "A"):
+        for field in ("noise_taps", "A"):
             arr = np.ascontiguousarray(getattr(self, field))
             arr.flags.writeable = False
             object.__setattr__(self, field, arr)
+
+    @property
+    def R(self) -> np.ndarray:
+        """sigma2 times the noise taps' autocorrelation at lag |i - j|."""
+        t = self.noise_taps
+        m = self.oversampling
+        # acf[k] is the sum of t[i + k] t[i]; lags past the taps read zero.
+        acf = np.correlate(np.concatenate((t, np.zeros(m))), t, "valid")
+        lag = np.arange(m)
+        return self.sigma2 * acf[np.abs(lag[:, None] - lag)]
 
     @property
     def R_component(self) -> np.ndarray:
@@ -184,7 +174,7 @@ class DiscreteChannel:
 
 
 def _noise_filter(g: FilterTaps, max_len: int) -> np.ndarray:
-    """Center crop of the receive filter that fits the G band, re-unit."""
+    """Center crop of the receive filter that fits the noise band, re-unit."""
     taps = g.taps
     if taps.size > max_len:
         half = max_len // 2
@@ -192,7 +182,7 @@ def _noise_filter(g: FilterTaps, max_len: int) -> np.ndarray:
     return taps / np.sqrt(np.sum(taps ** 2))
 
 
-def from_taps(g: FilterTaps, combined: FilterTaps, alphabet,
+def from_taps(g: FilterTaps, combined: FilterTaps, alphabet: str,
               snr_db: float) -> DiscreteChannel:
     """Assemble the observation model from explicit filter taps.
 
@@ -201,8 +191,6 @@ def from_taps(g: FilterTaps, combined: FilterTaps, alphabet,
     center-cropped to L M + 1 taps for the noise band and renormalized so
     the per-sample noise variance stays sigma2.
     """
-    if isinstance(alphabet, str):
-        alphabet = component_alphabet(alphabet)
     m = combined.oversampling
     if g.oversampling != m:
         raise ValueError("all filters must share one sample grid")
@@ -219,16 +207,14 @@ def from_taps(g: FilterTaps, combined: FilterTaps, alphabet,
     lags = (np.arange(memory + 1) * m + (m - 1) // 2
             - np.arange(m)[:, None])
     a_mat = np.pad(taps, (0, m))[taps.size - 1 - lags]
-    g_mat = build_toeplitz(_noise_filter(g, memory * m + 1),
-                           m, (memory + 1) * m)
-    sigma2 = sigma2_from_snr_db(snr_db)
-    r = sigma2 * (g_mat @ g_mat.T)
-    r = 0.5 * (r + r.T)
-    return DiscreteChannel(alphabet=alphabet, oversampling=m, memory=memory,
-                           sigma2=sigma2, G=g_mat, R=r, A=a_mat)
+    return DiscreteChannel(alphabet=component_alphabet(alphabet),
+                           oversampling=m, memory=memory,
+                           sigma2=sigma2_from_snr_db(snr_db),
+                           noise_taps=_noise_filter(g, memory * m + 1),
+                           A=a_mat)
 
 
-def assemble(spec: PulseSpec, alphabet, snr_db: float) -> DiscreteChannel:
+def assemble(spec: PulseSpec, alphabet: str, snr_db: float) -> DiscreteChannel:
     """Assemble the matched-filter model for a pulse family.
 
     The receive filter equals the transmit pulse and the combined response

@@ -52,7 +52,7 @@ def dmc_mutual_information(probs: np.ndarray, priors: np.ndarray) -> float:
 
     ``probs[x, y]`` holds P(y | x); rows must be probability vectors and
     ``priors`` the input distribution.  Terms with P(y | x) = 0 contribute
-    zero.
+    zero, and round-off below zero is returned as zero.
     """
     probs = np.asarray(probs, dtype=float)
     priors = np.asarray(priors, dtype=float)
@@ -66,7 +66,8 @@ def dmc_mutual_information(probs: np.ndarray, priors: np.ndarray) -> float:
     if not (np.all(priors >= 0.0) and abs(priors.sum() - 1.0) <= 1e-9):
         raise ValueError("priors must be a probability vector")
     marginal = priors @ probs
-    return float(priors @ [_entropy_terms(row, marginal) for row in probs])
+    mi = float(priors @ [_entropy_terms(row, marginal) for row in probs])
+    return max(mi, 0.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,7 +166,7 @@ def block_entropy_bound(ch: DiscreteChannel, n_intervals: int) -> BoundReport:
     if n_intervals < 1:
         raise ValueError("block needs at least one interval")
     m = ch.oversampling
-    if np.count_nonzero(ch.G) != m:
+    if np.count_nonzero(ch.noise_taps) != 1:
         raise CorrelatedNoiseError(
             "the block check needs a single-tap receive filter so noise "
             "is independent across samples")

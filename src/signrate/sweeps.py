@@ -122,18 +122,15 @@ class SweepConfig(_CanonicalConfig):
         return math.prod(len(getattr(self, axis)) for axis, _ in _AXES)
 
 
-def default_grid(*, estimator: str = "mc", samples: int = 1000000,
-                 seed: int = 0, oversampling=(1, 4),
-                 snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)) -> SweepConfig:
+def default_grid() -> SweepConfig:
     """The standard raised-cosine study grid."""
     return SweepConfig(
         family="rrc",
         beta=tuple(round(i / 10, 12) for i in range(11)),
         ratio=tuple(round(1 + i / 10, 12) for i in range(11)),
-        snr_db=tuple(float(s) for s in snr_db),
-        oversampling=tuple(oversampling),
-        alphabets=("4qam", "16qam"),
-        estimator=estimator, samples=samples, seed=seed)
+        snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+        oversampling=(1, 4),
+        alphabets=("4qam", "16qam"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -487,13 +484,10 @@ def region_compare(result: SweepResult, *, snr_db: float,
 
 
 def write_region_csv(region: RegionMap, destination, *,
-                     comment: str | None = None) -> None:
+                     comment: str) -> None:
     """Write a region map as CSV, with ``comment`` as a config line,
     through :func:`replace_text`."""
-    lines = []
-    if comment is not None:
-        lines.append(f"# config: {comment}")
-    lines.append(REGION_HEADER)
+    lines = [f"# config: {comment}", REGION_HEADER]
     for row in region.rows:
         lines.append(f"{row.beta!r},{row.ratio!r},{row.winner},"
                      f"{row.margin!r},{row.ftn_flag}")

@@ -193,7 +193,7 @@ def test_9_invariants():
     scaled = dataclasses.replace(
         ch16,
         alphabet=dataclasses.replace(alpha, levels=2.0 * alpha.levels),
-        sigma2=4.0 * ch16.sigma2, R=4.0 * ch16.R)
+        sigma2=4.0 * ch16.sigma2)
     checks["scale invariance"] = np.array_equal(
         enumerate_exact(scaled).probs, t16.probs)
 

@@ -1,13 +1,12 @@
 """Discrete receiver model tests.
 
 Groups:
- 1. Banded (Toeplitz) matrices against hand-written layouts.
- 2. Mean operator A against a hand convolution at L = 2, M = 2, the
+ 1. Mean operator A against a hand convolution at L = 2, M = 2, the
     impulse-selects-center-symbol special case, and the product H U of
     an explicit upsampler and response matrix.
- 3. Per-component alphabets: values, priors, symbol energy, rejection.
- 4. Observation bit order.
- 5. Assembled channel: dimensions, covariance structure, read-only state.
+ 2. Per-component alphabets: values, priors, symbol energy, rejection.
+ 3. Observation bit order.
+ 4. Assembled channel: dimensions, covariance structure, read-only state.
 """
 
 import itertools
@@ -19,7 +18,6 @@ from signrate.channel import (
     ComponentAlphabet,
     DiscreteChannel,
     assemble,
-    build_toeplitz,
     component_alphabet,
     flip_index,
     from_taps,
@@ -36,40 +34,14 @@ from signrate.pulses import (
 from signrate.transitions import enumerate_exact
 
 
-# -- Group 1: banded matrices ----------------------------------------------------
-
-def test_toeplitz_single_tap():
-    t = build_toeplitz(np.array([1.0]), 1, 5)
-    assert np.array_equal(t, [[1.0, 0.0, 0.0, 0.0, 0.0]])
-
-
-def test_toeplitz_rows_shift_by_one_sample():
-    taps = np.array([1.0, 2.0, 3.0])
-    t = build_toeplitz(taps, 2, 4)
-    expect = np.array([
-        [3.0, 2.0, 1.0, 0.0],
-        [0.0, 3.0, 2.0, 1.0],
-    ])
-    assert np.array_equal(t, expect)
-
-
-def test_toeplitz_rejects_overlong_filter():
-    with pytest.raises(ValueError):
-        build_toeplitz(np.arange(6.0), 2, 5)
-    # Fits the first row but not the shifted last row.
-    with pytest.raises(ValueError):
-        build_toeplitz(np.arange(5.0), 3, 6)
-
-
-# -- Group 2: mean operator -------------------------------------------------------
+# -- Group 1: mean operator -------------------------------------------------------
 
 def test_mean_operator_matches_hand_convolution():
     # L = 2, M = 2: the window holds three symbols placed two samples apart,
     # and the two observation rows read the reversed response with a one
     # sample shift.  Everything below is written out by hand.
     h = FilterTaps(np.array([0.11, -0.2, 0.35, 1.0, 0.4, -0.15]), 2)
-    ch = from_taps(delta_taps(3, 2), h, component_alphabet("4qam"),
-                   snr_db=10.0)
+    ch = from_taps(delta_taps(3, 2), h, "4qam", snr_db=10.0)
     x = np.array([0.7, -1.1, 0.4])
     t = h.taps
     expect = np.array([
@@ -80,10 +52,9 @@ def test_mean_operator_matches_hand_convolution():
 
 
 def test_impulse_response_selects_center_symbol():
-    alpha = component_alphabet("4qam")
     for m in (1, 2):
         d = delta_taps(9, m)
-        ch = from_taps(d, d, alpha, snr_db=5.0)
+        ch = from_taps(d, d, "4qam", snr_db=5.0)
         x = np.linspace(-1.0, 1.0, 9)
         mu = ch.A @ x
         assert mu.shape == (m,)
@@ -91,12 +62,21 @@ def test_impulse_response_selects_center_symbol():
         assert np.allclose(mu[1:], 0.0, atol=1e-15)
 
 
+def _banded(taps: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Filter matrix whose row r holds the reversed taps from column r on,
+    so that each row reads the filter output one sample after the last."""
+    out = np.zeros((rows, cols))
+    for r in range(rows):
+        out[r, r:r + taps.size] = taps[::-1]
+    return out
+
+
 def _upsampled_response(taps: np.ndarray, memory: int, m: int) -> np.ndarray:
     """H U written out: U places window symbol j on sample j M + (M - 1) // 2
     of the (L + 2) M - 1 sample grid, and H reads the combined response."""
     u = np.zeros(((memory + 2) * m - 1, memory + 1))
     u[np.arange(memory + 1) * m + (m - 1) // 2, np.arange(memory + 1)] = 1.0
-    h = build_toeplitz(taps, m, (memory + 2) * m - 1)
+    h = _banded(taps, m, (memory + 2) * m - 1)
     return h @ u
 
 
@@ -113,7 +93,7 @@ def test_mean_operator_equals_upsampled_response_product():
         assert np.array_equal(ch.A, expect), spec
 
 
-# -- Group 3: alphabets ------------------------------------------------------------
+# -- Group 2: alphabets ------------------------------------------------------------
 
 def test_quaternary_component_levels():
     a = component_alphabet("4qam")
@@ -150,7 +130,7 @@ def test_alphabet_structural_validation():
         ComponentAlphabet("bad", np.array([-0.3, 0.1]), np.array([0.5, 0.5]))
 
 
-# -- Group 4: bit order -------------------------------------------------
+# -- Group 3: bit order -------------------------------------------------
 
 def test_observation_index_encoding():
     # The center symbol reaches sample 0 only; sample 1 is pure noise.  At
@@ -179,7 +159,7 @@ def test_index_roundtrip_and_flip():
             assert flip_index(flip_index(idx, m), m) == idx
 
 
-# -- Group 5: assembled channel -------------------------------------------------------
+# -- Group 4: assembled channel -------------------------------------------------------
 
 def test_snr_convention():
     assert sigma2_from_snr_db(0.0) == pytest.approx(1.0, rel=1e-15)
@@ -190,7 +170,7 @@ def test_snr_convention():
 def test_assembled_dimensions_oversampled():
     ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22, oversampling=4), "4qam", 10.0)
     assert ch.memory == 8
-    assert ch.G.shape == (4, 36)
+    assert ch.noise_taps.shape == (33,)
     assert ch.R.shape == (4, 4)
     assert ch.A.shape == (4, 9)
 
@@ -202,6 +182,18 @@ def test_covariance_diagonal_carries_noise_power():
         assert np.allclose(np.diag(ch.R), s2, rtol=0, atol=1e-12 * s2)
         assert np.array_equal(ch.R, ch.R.T)
         assert np.all(np.linalg.eigvalsh(ch.R) > 0.0)
+
+
+def test_covariance_equals_noise_matrix_product():
+    # R = sigma2 G G^T with G the banded matrix of the noise taps, which
+    # spans the (L + 1) M samples of the symbol window.
+    for family, shape in ((ROOT_RAISED_COSINE, 0.22), (GAUSSIAN, 0.3)):
+        for m in (1, 2, 3, 4):
+            spec = PulseSpec(family, shape, oversampling=m)
+            ch = assemble(spec, "4qam", 7.0)
+            g = _banded(ch.noise_taps, m, (ch.memory + 1) * m)
+            expect = ch.sigma2 * (g @ g.T)
+            assert np.allclose(ch.R, expect, rtol=0, atol=1e-15 * ch.sigma2)
 
 
 def test_covariance_has_positive_neighbor_correlation():
@@ -224,7 +216,7 @@ def test_per_component_covariance_is_half():
 
 def test_channel_arrays_are_read_only():
     ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.22), "4qam", 10.0)
-    for arr in (ch.G, ch.R, ch.A):
+    for arr in (ch.noise_taps, ch.A):
         with pytest.raises(ValueError):
-            arr[0, 0] = 9.9
+            arr[0] = 9.9
 

@@ -28,6 +28,7 @@ from signrate.pulses import (
     PulseSpec,
     combined_response,
     delta_taps,
+    discretize,
 )
 from signrate.rates import (
     BLOCK_BUDGET,
@@ -139,7 +140,7 @@ def test_joint_amplitude_scaling_is_bitwise_exact():
     base = component_alphabet("16qam")
     scaled_alpha = ComponentAlphabet("scaled", 2.0 * base.levels, base.priors)
     scaled = dataclasses.replace(ch, alphabet=scaled_alpha,
-                                 sigma2=4.0 * ch.sigma2, R=4.0 * ch.R)
+                                 sigma2=4.0 * ch.sigma2)
     a = enumerate_exact(ch)
     b = enumerate_exact(scaled)
     assert np.array_equal(a.probs, b.probs)
@@ -316,8 +317,8 @@ def test_snr_at_the_ends_of_its_range_gives_a_rate(estimator):
                                              estimator=estimator))
             assert 0.0 <= result.rate_bpcu <= 2.0
         # Both alphabets and pulse families at M = 1 to 4, on a short
-        # span.  A rate may miss its range by round-off: some exact cells
-        # read -1e-16 at -3000 dB.
+        # span.  Some exact cells at -3000 dB reach -2e-16 by round-off
+        # before the mutual information is clamped at zero.
         for alphabet, family, m, snr_db in itertools.product(
                 ("4qam", "16qam"), ("rrc", "gaussian"), (1, 2, 3, 4),
                 (3000.0, -3000.0)):
@@ -326,7 +327,7 @@ def test_snr_at_the_ends_of_its_range_gives_a_rate(estimator):
                 span_symbols=3, snr_db=snr_db, samples=1000,
                 estimator=estimator))
             top = 2.0 * np.log2(component_alphabet(alphabet).size)
-            assert -1e-12 <= result.rate_bpcu <= top + 1e-12, (
+            assert 0.0 <= result.rate_bpcu <= top + 1e-12, (
                 alphabet, family, m, snr_db)
 
 
@@ -404,13 +405,15 @@ def test_block_bound_positive_gap_with_overlap():
 
 
 def test_block_bound_refuses_correlated_noise():
-    spec = PulseSpec(ROOT_RAISED_COSINE, 0.3, span_symbols=5, oversampling=2)
-    v = combined_response(spec)
-    from signrate.pulses import discretize
-    g = discretize(spec)
-    ch = from_taps(g, v, "4qam", snr_db=8.0)
-    with pytest.raises(CorrelatedNoiseError):
-        block_entropy_bound(ch, 2)
+    # At M = 1, R is 1 x 1, so only the receive filter shows that the
+    # noise is correlated across intervals.
+    for m in (1, 2):
+        spec = PulseSpec(ROOT_RAISED_COSINE, 0.3, span_symbols=5,
+                         oversampling=m)
+        ch = from_taps(discretize(spec), combined_response(spec), "4qam",
+                       snr_db=8.0)
+        with pytest.raises(CorrelatedNoiseError):
+            block_entropy_bound(ch, 2)
 
 
 def test_block_bound_refuses_blown_budget():

@@ -11,6 +11,7 @@ Groups:
  5. Region comparison: winners, ties, flags, CSV format.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -368,7 +369,7 @@ def test_run_sweep_refuses_mismatched_file(tmp_path):
 def test_each_row_is_rendered_once(tmp_path, monkeypatch):
     # Every rewrite used to render every recorded row again: about n^2/2
     # renders for an n-cell sweep.
-    grid = default_grid(snr_db=(0.0, 10.0, 20.0))
+    grid = dataclasses.replace(default_grid(), snr_db=(0.0, 10.0, 20.0))
     assert grid.n_cells() >= 1000
     renders = []
     real_render = SweepRow.to_csv_line
@@ -541,11 +542,12 @@ def test_region_compare_requires_both_alphabets():
 def test_region_csv_format(tmp_path):
     region = region_compare(_synthetic_result(), snr_db=5.0, oversampling=1)
     path = tmp_path / "regions.csv"
-    write_region_csv(region, path)
+    write_region_csv(region, path, comment='{"snr_db":5.0}')
     lines = path.read_text().splitlines()
-    assert lines[0] == REGION_HEADER
-    assert len(lines) == 1 + 4
-    beta, ratio, winner, margin, flag = lines[1].split(",")
+    assert lines[0] == '# config: {"snr_db":5.0}'
+    assert lines[1] == REGION_HEADER
+    assert len(lines) == 2 + 4
+    beta, ratio, winner, margin, flag = lines[2].split(",")
     assert float(beta) == 0.2 and float(ratio) == 1.0
     assert winner == "16qam"
     assert float(margin) == pytest.approx(0.2)
@@ -555,7 +557,7 @@ def test_region_csv_format(tmp_path):
 def test_failed_region_write_keeps_previous_file(tmp_path, monkeypatch):
     region = region_compare(_synthetic_result(), snr_db=5.0, oversampling=1)
     path = tmp_path / "regions.csv"
-    write_region_csv(region, path)
+    write_region_csv(region, path, comment="{}")
     previous = path.read_bytes()
     real_write = Path.write_text
 
