@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, canonical_json
 from .errors import GridMismatchError, QuadratureToleranceError, RefusalError
 from .pulses import PulseSpec, discretize, estimate_3db_bandwidth
 from .rates import rate_for_config
@@ -184,9 +184,8 @@ def _cmd_taps(args) -> int:
         # The aliased spectrum can sit above half power across the whole
         # sampled band (wide pulses at low oversampling).
         bandwidth = float("nan")
-    echo = json.dumps(dataclasses.asdict(spec), sort_keys=True,
-                      separators=(",", ":"))
-    lines = [f"# config: {echo}", "index,t,value"]
+    lines = [f"# config: {canonical_json(dataclasses.asdict(spec))}",
+             "index,t,value"]
     for i, (t, v) in enumerate(zip(taps.times, taps.taps)):
         lines.append(f"{i},{format(t, '.17g')},{format(v, '.17g')}")
     replace_text(out, "\n".join(lines) + "\n")
@@ -238,11 +237,11 @@ def _cmd_regions(args) -> int:
     merged = results[0] if len(results) == 1 else merge_sweeps(*results)
     region = region_compare(merged, snr_db=args.snr_db,
                             oversampling=args.oversampling)
-    echo = json.dumps({
+    echo = canonical_json({
         "oversampling": args.oversampling,
         "snr_db": args.snr_db,
         "sources": [r.config.fingerprint() for r in results],
-    }, sort_keys=True, separators=(",", ":"))
+    })
     write_region_csv(region, args.out, comment=echo)
     print(f"wrote {args.out} ({len(region.rows)} cells)", file=sys.stderr)
     return 0

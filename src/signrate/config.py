@@ -20,37 +20,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-import numbers
-import operator
 
 from .channel import component_alphabet, sigma2_from_snr_db
-from .pulses import PulseSpec
+from .pulses import PulseSpec, as_float, as_int
 
 __all__ = ["RunConfig"]
 
 _ESTIMATORS = ("mc", "enum")
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as an int; JSON may spell an integer as 4.0."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _as_float(name: str, value) -> float:
-    """``value`` as a finite float, so 10 and 10.0 serialize alike."""
-    try:
-        number = float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if math.isfinite(number):
-        return number
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+def canonical_json(data) -> str:
+    """``data`` as compact JSON with sorted keys, the one spelling of a
+    configuration in echo lines, fingerprints and stream seeds."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 class _CanonicalConfig:
@@ -70,8 +52,7 @@ class _CanonicalConfig:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -96,10 +77,10 @@ class RunConfig(_CanonicalConfig):
         # One type per field, so equal configurations compare, hash,
         # serialize and seed alike however the numbers were spelled.
         for name in ("oversampling", "span_symbols", "samples", "seed"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         for name in ("shape", "signaling_ratio", "snr_db"):
             object.__setattr__(self, name,
-                               _as_float(name, getattr(self, name)))
+                               as_float(name, getattr(self, name)))
         # Pulse parameter validation lives in PulseSpec; building one
         # here surfaces those errors at configuration time.
         self.pulse_spec()
@@ -133,6 +114,6 @@ class RunConfig(_CanonicalConfig):
             "snr_db": self.snr_db,
             "span_symbols": self.span_symbols,
         }
-        key = json.dumps(cell, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+        digest = hashlib.blake2b(canonical_json(cell).encode(),
+                                 digest_size=8).digest()
         return int.from_bytes(digest, "big")

@@ -14,6 +14,8 @@ always carry unit energy regardless of how much the window clipped.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,34 @@ FINE_FACTOR = 16
 
 # DFT length of the spectrum estimate_3db_bandwidth reads.
 BANDWIDTH_NFFT = 1 << 16
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as an int; JSON may spell an integer as 4.0, but a
+    boolean is no number."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_float(name: str, value) -> float:
+    """``value`` as a finite float, so 10 and 10.0 serialize alike; a
+    boolean is no number."""
+    # float and int first: the check against the numbers.Real ABC is slow.
+    real = (isinstance(value, (float, int, numbers.Real))
+            and not isinstance(value, bool))
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if math.isfinite(number):
+        return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def eval_gaussian(t, b3db_ts):
@@ -106,6 +136,12 @@ class PulseSpec:
     oversampling: int = 1
 
     def __post_init__(self):
+        # One type per number, so equal pulses compare and echo alike
+        # however the numbers were spelled.
+        for name in ("span_symbols", "oversampling"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        for name in ("shape", "signaling_ratio"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown pulse family {self.family!r}")
         if self.family == ROOT_RAISED_COSINE and not 0.0 <= self.shape <= 1.0:
@@ -117,7 +153,7 @@ class PulseSpec:
             raise ValueError(f"signaling ratio must be finite and >= 1, got {self.signaling_ratio}")
         if not (self.span_symbols >= 1 and self.span_symbols % 2 == 1):
             raise ValueError(f"window must be a positive odd symbol count, got {self.span_symbols}")
-        if not (self.oversampling >= 1 and self.oversampling % 1 == 0):
+        if not self.oversampling >= 1:
             raise ValueError(f"oversampling must be a positive integer, got {self.oversampling}")
 
 

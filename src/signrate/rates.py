@@ -23,8 +23,8 @@ import numpy as np
 from .channel import DiscreteChannel, assemble
 from .config import RunConfig
 from .errors import BudgetExceededError, CorrelatedNoiseError
-from .transitions import (TransitionTable, _orthant_table, enumerate_exact,
-                          mc_estimate)
+from .transitions import (TransitionTable, enumerate_exact, mc_estimate,
+                          orthant_table)
 
 __all__ = [
     "BoundReport",
@@ -191,8 +191,8 @@ def block_entropy_bound(ch: DiscreteChannel, n_intervals: int) -> BoundReport:
     digits = np.stack(np.unravel_index(
         np.arange(n_x), (n_levels,) * n_intervals), axis=1)
     p_x = np.prod(alpha.priors[digits], axis=1)
-    cond = _orthant_table(alpha.levels[digits] @ block_op.T,
-                          sigma_c * np.eye(n_samples))
+    cond = orthant_table(alpha.levels[digits] @ block_op.T,
+                         sigma_c * np.eye(n_samples))
     y_bits = np.arange(n_y)
 
     joint = p_x[:, None] * cond

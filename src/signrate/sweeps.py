@@ -174,12 +174,17 @@ class SweepRow:
         parts = line.split(",")
         if len(parts) != 11:
             raise GridMismatchError(f"malformed sweep row: {line!r}")
-        return cls(alphabet=parts[0], oversampling=int(parts[1]),
-                   family=parts[2], beta=float(parts[3]),
-                   ratio=float(parts[4]), snr_db=float(parts[5]),
-                   rate_bpcu=float(parts[6]), rate_3db=float(parts[7]),
-                   stderr=float(parts[8]), samples=int(parts[9]),
-                   seed=int(parts[10]))
+        row = cls(alphabet=parts[0], oversampling=int(parts[1]),
+                  family=parts[2], beta=float(parts[3]),
+                  ratio=float(parts[4]), snr_db=float(parts[5]),
+                  rate_bpcu=float(parts[6]), rate_3db=float(parts[7]),
+                  stderr=float(parts[8]), samples=int(parts[9]),
+                  seed=int(parts[10]))
+        # A NaN margin would name a winner; a NaN row is no result.
+        if not all(map(math.isfinite,
+                       (row.rate_bpcu, row.rate_3db, row.stderr))):
+            raise GridMismatchError(f"non-finite rate in sweep row: {line!r}")
+        return row
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,8 +206,9 @@ def load_sweep_csv(path) -> SweepResult:
 
     Anything but a sweep file of a valid grid (text that does not decode,
     a config line that is not JSON or not a whole grid, a row that does
-    not parse, is no cell of the grid, repeats one or contradicts its
-    pulse, seed or samples) raises :class:`GridMismatchError`.
+    not parse, holds a non-finite rate or stderr, is no cell of the grid,
+    repeats one or contradicts its pulse, seed or samples) raises
+    :class:`GridMismatchError`.
     """
     try:
         text = Path(path).read_text()

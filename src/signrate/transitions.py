@@ -29,13 +29,13 @@ Two estimators produce the table:
   pattern by inclusion and exclusion from normal CDFs of their subsets:
   Phi from Cephes' rational approximations, Genz's fixed-node form for
   pairs, so M <= 2 and diagonal noise need no adaptive quadrature, and
-  Plackett's identity, one smooth integral each with fixed
-  Gauss-Legendre rules, for three and four; only those tables are
-  accepted when a second, coarser rule reproduces them.  Correlated
-  noise is exact up to M = 4 and refused beyond that;
-  :func:`check_enumerable` owns that refusal and the budget's.  The
-  kernel is numpy alone; its quadrature rules are built the first time
-  it runs, so importing the package and Monte Carlo tables load no
+  Plackett's identity, one smooth integral each on a fixed
+  Gauss-Legendre rule, for three and four; the kernel re-runs those
+  integrals on a second, coarser rule and accepts a table only when the
+  two agree.  Correlated noise is exact up to M = 4 and refused beyond
+  that; :func:`check_enumerable` owns that refusal and the budget's.
+  The kernel is numpy alone; its quadrature rules are built the first
+  time it runs, so importing the package and Monte Carlo tables load no
   ``numpy.polynomial``.
 
 Both estimators exploit the sign symmetry of the model: negating the
@@ -87,7 +87,7 @@ ENUM_TOL = 1e-6
 _GAUSS_LEGENDRE = 64
 _GAUSS_LEGENDRE_CHECK = 48
 
-# Elements of the kernel's largest arrays per window chunk.
+# Elements of the kernel's largest arrays per block of rows.
 _KERNEL_ROWS = 1 << 20
 
 
@@ -322,6 +322,10 @@ _H_LIMIT = 40.0
 # (20 nodes) above.
 _GENZ_EDGES = (0.3, 0.75, 0.925)
 _GENZ_NODES = (6, 12, 20, 20)
+
+# Windows per kernel call of enumerate_exact: one block of correlated
+# pairs, as _subset_orthants sizes them; it splits wider blocks itself.
+_WINDOW_CHUNK = _KERNEL_ROWS // (2 * _GENZ_NODES[-1])
 
 
 def _cephes_ratio(z: np.ndarray) -> tuple:
@@ -574,63 +578,81 @@ def _plackett_terms(h: np.ndarray, corr: np.ndarray, a: int, j: int,
     return term
 
 
-def _subset_orthants(means: np.ndarray, chol: np.ndarray,
-                     nodes: int) -> np.ndarray:
+def _subset_orthants(means: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """P(sign pattern y) of ``means[r] + chol @ w`` for k = 2, 3 or 4
-    correlated samples.
+    correlated samples, in blocks of rows sized to ``_KERNEL_ROWS``.
 
     F(U) = P(every sample in U negative) is a normal CDF Phi_|U| of the
     standardized means h = -m / sigma (clipped to +-40) at the samples'
     correlations: Phi for one sample, all singletons from one
-    :func:`_ndtr` call, Genz's :func:`_phi2` for two (reusing the two
-    samples' Phi columns), and Plackett's identity,
-    Phi_|U| = Phi(h_a) Phi_{|U|-1}(U - a) plus a smooth t-integral per
-    partner j of a (its lowest sample), for three and four; only those
-    integrals use the ``nodes``-point Gauss-Legendre rule.  The pattern
-    whose negative samples are exactly T then follows by inclusion and
-    exclusion, P = sum over U containing T of (-1)^|U - T| F(U).
+    :func:`_ndtr` call, Genz's :func:`_phi2` for two, and Plackett's
+    identity, Phi_|U| = Phi(h_a) Phi_{|U|-1}(U - a) plus a smooth
+    t-integral per partner j of a (its lowest sample), for three and four.
+    The pattern whose negative samples are exactly T then follows by
+    inclusion and exclusion, P = sum over U containing T of
+    (-1)^|U - T| F(U).  The t-integrals run on ``_GAUSS_LEGENDRE`` and
+    again, over the same singles and pairs, on ``_GAUSS_LEGENDRE_CHECK``;
+    tables that differ by more than ``ENUM_TOL`` raise
+    :class:`QuadratureToleranceError`.
     """
     n, k = means.shape
+    # Per row, the largest arrays hold the Plackett nodes times the k - 2
+    # rest samples, or the two exponentials on each of up to 20 Genz nodes
+    # of a pair CDF (at k = 4, once per Plackett node).
+    width = max(_GAUSS_LEGENDRE * (k - 2),
+                2 * _GENZ_NODES[-1] * (_GAUSS_LEGENDRE if k == 4 else 1))
+    rows = _KERNEL_ROWS // width
+    if n > rows:
+        return np.concatenate([_subset_orthants(means[s:s + rows], chol)
+                               for s in range(0, n, rows)])
     cov = chol @ chol.T
     sigma = np.sqrt(np.diagonal(cov))
     corr = cov / np.outer(sigma, sigma)
     h = np.maximum(-means / sigma, -_H_LIMIT)
     np.minimum(h, _H_LIMIT, out=h)
     phi = _ndtr(h)
-    cdf = np.ones((n, 1 << k))
-    # Plackett terms by (a, j), each shared by every subset it occurs in.
-    terms = {}
-    # Dropping a bit gives a smaller mask, so Phi_{|U|-1}(U - a) is ready.
-    for mask in range(1, 1 << k):
-        a, *others = [j for j in range(k) if mask >> j & 1]
-        if not others:
-            cdf[:, mask] = phi[:, a]
-        elif len(others) == 1:
-            b = others[0]
-            cdf[:, mask] = _phi2(h[:, a], h[:, b], corr[a, b],
-                                 cdf[:, 1 << a], cdf[:, 1 << b])
-        else:
-            total = phi[:, a] * cdf[:, mask & (mask - 1)]
+    # One CDF table per node rule where t-integrals run, else one.
+    rules = (_GAUSS_LEGENDRE, _GAUSS_LEGENDRE_CHECK) if k > 2 else ()
+    cdf = np.ones((len(rules) or 1, n, 1 << k))
+    for a in range(k):
+        cdf[..., 1 << a] = phi[:, a]
+        for b in range(a + 1, k):
+            cdf[..., 1 << a | 1 << b] = _phi2(h[:, a], h[:, b], corr[a, b],
+                                              phi[:, a], phi[:, b])
+    for table, nodes in zip(cdf, rules):
+        # Plackett terms by (a, j), each shared by every subset it occurs in.
+        terms = {}
+        # Dropping a bit gives a smaller mask, so Phi_{|U|-1}(U - a) is ready.
+        for mask in range(1, 1 << k):
+            a, *others = [j for j in range(k) if mask >> j & 1]
+            if len(others) < 2:
+                continue
+            total = phi[:, a] * table[:, mask & (mask - 1)]
             for j in others:
                 if (a, j) not in terms:
                     terms[a, j] = _plackett_terms(h, corr, a, j,
                                                   _gauss_legendre(nodes))
                 total += terms[a, j]([i for i in others if i != j])
-            cdf[:, mask] = total
+            table[:, mask] = total
     # Moebius inversion over supersets, one sample (array axis) at a time;
     # the column of pattern y is then its negative set ~y.
-    table = cdf.reshape((n,) + (2,) * k)
-    for axis in range(1, k + 1):
+    table = cdf.reshape(cdf.shape[:2] + (2,) * k)
+    for axis in range(2, k + 2):
         lower = (slice(None),) * axis + (0,)
         upper = (slice(None),) * axis + (1,)
         table[lower] -= table[upper]
-    out = cdf[:, ::-1]
+    out = cdf[..., ::-1]
     # Cancellation must never leave a negative probability.
-    return np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    if rules:
+        deviation = float(np.abs(out[0] - out[1]).max())
+        # Written so that a NaN deviation fails.
+        if not deviation <= ENUM_TOL:
+            raise QuadratureToleranceError(deviation, ENUM_TOL)
+    return out[0]
 
 
-def _orthant_table(means: np.ndarray, chol: np.ndarray,
-                   nodes: int = _GAUSS_LEGENDRE) -> np.ndarray:
+def orthant_table(means: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """P(sign pattern y) of ``means[r] + chol @ w`` for every row r.
 
     ``w`` is standard normal and ``chol`` lower triangular with a
@@ -639,17 +661,15 @@ def _orthant_table(means: np.ndarray, chol: np.ndarray,
     shares its white variable w_0, as a normal CDF factor, so tiny
     probabilities stay accurate relative to their size.  The 2, 3 or 4
     samples left once one does go to :func:`_subset_orthants`, which
-    integrates three or more with the ``nodes``-point Gauss-Legendre
-    rule.
+    integrates and certifies three or more.
     """
     n, k = means.shape
-    col = chol[1:, 0]
-    if col.any():
-        return _subset_orthants(means, chol, nodes)
+    if chol[1:, 0].any():
+        return _subset_orthants(means, chol)
     first = _sign_probs(means[:, 0] / chol[0, 0])
     if k == 1:
         return first
-    rest = _orthant_table(means[:, 1:], chol[1:, 1:], nodes)
+    rest = orthant_table(means[:, 1:], chol[1:, 1:])
     return (rest[:, :, None] * first[:, None, :]).reshape(n, -1)
 
 
@@ -680,16 +700,14 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     refuses a table above ``ENUM_BUDGET`` with
     :class:`BudgetExceededError`, and correlated noise beyond M = 4 with
     :class:`CorrelatedNoiseError`, which asks for the Monte Carlo path
-    instead.  Every window's orthant probabilities come from one kernel:
-    normal CDF products where sample noise is uncorrelated, and for each
-    block of 2, 3 or 4 correlated samples the subset-CDF kernel, whose
-    Plackett integrals over t (three or more samples) use fixed
-    Gauss-Legendre nodes.  :class:`QuadratureToleranceError` is raised
-    when a window's probabilities miss a sum of one by more than
-    ``ENUM_TOL``, and, where a t-integral runs, when the tables from 64
-    and from 48 nodes differ by more than that; a table without a
-    t-integral is computed once.  Rows come out bitwise sign-symmetric
-    because the upper half is a mirrored copy of the lower half.
+    instead.  Windows go to :func:`orthant_table` in fixed chunks, one
+    call each: normal CDF products where sample noise is uncorrelated, and
+    the subset-CDF kernel for each block of 2, 3 or 4 correlated samples,
+    which certifies its own Plackett integrals (three or more samples).
+    :class:`QuadratureToleranceError` is raised when the kernel's two node
+    rules, or a window's probabilities and a sum of one, differ by more
+    than ``ENUM_TOL``.  Rows come out bitwise sign-symmetric because the
+    upper half is a mirrored copy of the lower half.
     """
     alpha = ch.alphabet
     n_levels = alpha.size
@@ -697,20 +715,6 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     center_pos = ch.memory // 2
     n_out = ch.n_outputs
     chol = check_enumerable(ch)
-
-    m = ch.oversampling
-    # The kernel integrates over t only when a sample that shares its
-    # white variable with a later one precedes the last two (a correlated
-    # block of three or more samples); no other table reads the Plackett
-    # nodes, and a second node rule would reproduce it bit for bit.
-    integrates = any(chol[j + 1:, j].any() for j in range(m - 2))
-    # Per window, the kernel's largest arrays hold the Plackett nodes
-    # times the M - 2 rest samples, or the two exponentials on each of up
-    # to 20 Genz nodes of a pair CDF (at M = 4, once per Plackett node).
-    plackett = _GAUSS_LEGENDRE * (m - 2) if integrates else 1
-    pairs = 2 * _GENZ_NODES[-1] * (_GAUSS_LEGENDRE if integrates and m == 4
-                                   else 1)
-    chunk = max(1, _KERNEL_ROWS // max(plackett, pairs))
 
     # Windows with the center in the lower half of the levels; the rest
     # mirrors.
@@ -720,16 +724,11 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     n_direct_win = n_direct * n_levels ** ch.memory
     neighbors = [i for i in range(length) if i != center_pos]
     probs = np.zeros((n_levels, n_out))
-    for start in range(0, n_direct_win, chunk):
-        flat = np.arange(start, min(start + chunk, n_direct_win))
+    for start in range(0, n_direct_win, _WINDOW_CHUNK):
+        flat = np.arange(start, min(start + _WINDOW_CHUNK, n_direct_win))
         digits = np.stack(np.unravel_index(flat, shape), axis=1)
-        means = alpha.levels[digits] @ ch.A.T
-        table = _orthant_table(means, chol)
+        table = orthant_table(alpha.levels[digits] @ ch.A.T, chol)
         residual = float(np.abs(table.sum(axis=1) - 1.0).max())
-        if integrates:
-            check = _orthant_table(means, chol, _GAUSS_LEGENDRE_CHECK)
-            # np.maximum, unlike max, keeps a NaN from either side.
-            residual = float(np.maximum(residual, np.abs(table - check).max()))
         # Written so that a NaN residual fails.
         if not residual <= ENUM_TOL:
             raise QuadratureToleranceError(residual, ENUM_TOL)
@@ -738,7 +737,7 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
         probs += np.bincount(codes, weights=(weights[:, None] * table).ravel(),
                              minlength=n_levels * n_out).reshape(probs.shape)
 
-    flipped = flip_index(np.arange(n_out), m)
+    flipped = flip_index(np.arange(n_out), ch.oversampling)
     for i in range(n_levels - n_direct):
         probs[n_levels - 1 - i] = probs[i][flipped]
 

@@ -1,14 +1,16 @@
 """Command line interface tests.
 
 Groups:
- 1. taps: CSV layout, printed summary, derived center value, usage errors.
+ 1. taps: CSV layout, printed summary, derived center value, canonical
+    echo, usage errors.
  2. rate: JSON payload, determinism, config file and overrides, refusals,
     output files that a failed write leaves whole and that a symlink
     redirects.
  3. sweep: grid runs, resume notes, mismatch exit code, worker counts,
     targets that are no regular file, rows that contradict their grid;
     with rate, non-finite or out-of-range numbers and strict JSON.
- 4. regions: single and paired sweep inputs, mismatches, slice flags.
+ 4. regions: single and paired sweep inputs, mismatches, corrupted
+    files, slice flags.
 """
 
 import dataclasses
@@ -79,6 +81,39 @@ def test_taps_rrc_center_value(tmp_path, capsys):
     peak = 1.0 - 0.5 + 4.0 * 0.5 / np.pi
     assert center == pytest.approx(peak / np.sqrt(np.sum(values ** 2)),
                                    rel=1e-12)
+
+
+def test_taps_echo_is_canonical(tmp_path, capsys):
+    # "1" and "1.0", "4.0" and "4" name the same pulse and the same file.
+    outs = []
+    for spelling in ({"shape": 1, "oversampling": 4.0, "span_symbols": 9.0},
+                     {"shape": 1.0, "oversampling": 4, "span_symbols": 9}):
+        cfg = tmp_path / f"pulse{len(outs)}.json"
+        cfg.write_text(json.dumps({"family": "rrc", **spelling}))
+        outs.append(tmp_path / f"taps{len(outs)}.csv")
+        assert _run(capsys, ["taps", "--config", str(cfg),
+                             "--out", str(outs[-1])])[0] == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_text().startswith(
+        '# config: {"family":"rrc","oversampling":4,"shape":1.0,')
+
+
+@pytest.mark.parametrize("command", ["taps", "rate"])
+def test_boolean_oversampling_exits_2(tmp_path, capsys, command):
+    # JSON true used to pass as 1: taps echoed it, rate ran at M = 1.
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps({
+        "family": "rrc", "shape": 0.5, "oversampling": True,
+        "alphabet": "4qam", "snr_db": 5.0, "estimator": "enum"}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "taps":
+        cfg.write_text(json.dumps({"family": "rrc", "shape": 0.5,
+                                   "oversampling": True}))
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 2
+    assert "oversampling must be an integer, got True" in stderr
+    assert stdout == "" and not out.exists()
 
 
 def test_taps_missing_fields(tmp_path, capsys):
@@ -560,6 +595,68 @@ def test_malformed_sweep_file_exit_4(tmp_path, capsys):
             assert code == 4
             assert stderr.startswith(f"error: {path}: ")
             assert "Traceback" not in stderr
+
+
+def _drop_header(lines):
+    del lines[1]
+
+
+def _cut_row(lines):
+    lines[2] = lines[2].rsplit(",", 1)[0]
+
+
+def _foreign_cell(lines):
+    lines[2] = lines[2].replace(",0.2,", ",0.9,")
+
+
+def _duplicate_row(lines):
+    lines.append(lines[2])
+
+
+def _nan_rates(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("16qam,"))
+    fields = lines[i].split(",")
+    fields[6] = fields[7] = "nan"
+    lines[i] = ",".join(fields)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_header, _cut_row, _foreign_cell,
+                                     _duplicate_row, _nan_rates])
+def test_corrupted_sweep_file_exits_4(tmp_path, capsys, corrupt):
+    # A NaN rate used to load: regions named a winner with a NaN margin
+    # and sweep kept the row as complete.
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path)
+    path = tmp_path / "grid.csv"
+    assert _run(capsys, ["sweep", "--config", str(cfg_path),
+                         "--out", str(path)])[0] == 0
+    lines = path.read_text().splitlines()
+    corrupt(lines)
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(GridMismatchError):
+        load_sweep_csv(path)
+    for argv in (["regions", str(path), "--snr-db", "5",
+                  "--oversampling", "1", "--out", str(tmp_path / "r.csv")],
+                 ["sweep", "--config", str(cfg_path), "--out", str(path)]):
+        code, _, stderr = _run(capsys, argv)
+        assert code == 4
+        assert stderr.startswith(f"error: {path}: ")
+    assert path.read_bytes() == before
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_regions_of_one_file_twice_exits_4(tmp_path, capsys):
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path)
+    path = tmp_path / "grid.csv"
+    assert _run(capsys, ["sweep", "--config", str(cfg_path),
+                         "--out", str(path)])[0] == 0
+    code, _, stderr = _run(capsys, [
+        "regions", str(path), str(path), "--snr-db", "5",
+        "--oversampling", "1", "--out", str(tmp_path / "r.csv")])
+    assert code == 4
+    assert "share alphabets ['16qam', '4qam']" in stderr
 
 
 def test_sweep_file_of_unknown_schema_exit_4(tmp_path, capsys):

@@ -185,6 +185,20 @@ def test_pulse_spec_refuses_non_finite_numbers(field, value):
         PulseSpec(**{"family": GAUSSIAN, "shape": 0.5, field: value})
 
 
+def test_pulse_spec_types_its_numbers():
+    # Spellings of one pulse store one type per number; a boolean is no
+    # number (JSON true used to pass as oversampling 1).
+    spec = PulseSpec(ROOT_RAISED_COSINE, 1, signaling_ratio=2,
+                     span_symbols=9.0, oversampling=4.0)
+    numbers = (spec.shape, spec.signaling_ratio, spec.span_symbols,
+               spec.oversampling)
+    assert numbers == (1.0, 2.0, 9, 4)
+    assert [type(v) for v in numbers] == [float, float, int, int]
+    for field in ("shape", "signaling_ratio", "span_symbols", "oversampling"):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            PulseSpec(**{"family": GAUSSIAN, "shape": 0.5, field: True})
+
+
 # -- Group 4: matched combination ----------------------------------------------
 
 def test_impulse_leaves_filter_unchanged():

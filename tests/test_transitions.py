@@ -36,11 +36,11 @@ from signrate.transitions import (
     ENUM_BUDGET,
     TransitionTable,
     _ndtr,
-    _orthant_table,
     _phi2,
     component_cholesky,
     enumerate_exact,
     mc_estimate,
+    orthant_table,
 )
 
 
@@ -147,27 +147,36 @@ def test_exact_table_refuses_uncertified_quadrature(monkeypatch):
     (4, "rrc", True)])
 def test_check_rule_runs_only_where_the_kernel_integrates(monkeypatch, m,
                                                           noise, integrates):
-    # A quadrature-free table (correlated M <= 2, or diagonal noise) is
-    # computed once; a second node rule would reproduce it bit for bit.
-    real = transitions._orthant_table
-    calls = []
+    # Each window chunk is one full-width kernel call.  The kernel runs
+    # its Plackett integrals on the table's rule and on the check rule
+    # only where it integrates; a quadrature-free table (correlated
+    # M <= 2, or diagonal noise) runs neither.
+    real_table = transitions.orthant_table
+    real_terms = transitions._plackett_terms
+    calls, rules = [], set()
 
-    def spy(means, chol, *nodes):
+    def spy_table(means, chol):
         if means.shape[1] == m:
-            calls.append(nodes)
-        return real(means, chol, *nodes)
+            calls.append(len(means))
+        return real_table(means, chol)
 
-    monkeypatch.setattr(transitions, "_orthant_table", spy)
+    def spy_terms(h, corr, a, j, rule):
+        rules.add(rule[0].size)
+        return real_terms(h, corr, a, j, rule)
+
+    monkeypatch.setattr(transitions, "orthant_table", spy_table)
+    monkeypatch.setattr(transitions, "_plackett_terms", spy_terms)
+    # The 4 lower-half windows of a 3-symbol 4qam window, in chunks of 3.
+    monkeypatch.setattr(transitions, "_WINDOW_CHUNK", 3)
     if noise == "rrc":
         ch = assemble(PulseSpec(ROOT_RAISED_COSINE, 0.3, span_symbols=3,
                                 oversampling=m), "4qam", snr_db=8.0)
     else:
         ch = _delta_channel("4qam", snr_db=8.0, m=m, span=3)
     enumerate_exact(ch)
-    assert len(calls) == 1 + integrates
-    assert calls[0] == ()
-    if integrates:
-        assert calls[1][0] is transitions._GAUSS_LEGENDRE_CHECK
+    assert calls == [3, 1]
+    both = {transitions._GAUSS_LEGENDRE, transitions._GAUSS_LEGENDRE_CHECK}
+    assert rules == (both if integrates else set())
 
 
 def _bivariate_reference(means, chol):
@@ -194,7 +203,7 @@ def test_bivariate_orthants_match_mvn_cdf(rho):
     chol = np.array([[sigma0, 0.0],
                      [rho * sigma1, np.sqrt(1.0 - rho * rho) * sigma1]])
     means = hk * [sigma0, sigma1]
-    table = _orthant_table(means, chol)
+    table = orthant_table(means, chol)
     assert np.all(table >= 0.0)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-14
     reference = _bivariate_reference(means, chol)
@@ -205,7 +214,7 @@ def test_bivariate_orthants_match_mvn_cdf(rho):
     chol3[0, 0] = 0.4
     chol3[1:, 1:] = chol
     first = 0.4 * np.linspace(-3.0, 3.0, len(hk))
-    table3 = _orthant_table(np.column_stack([first, means]), chol3)
+    table3 = orthant_table(np.column_stack([first, means]), chol3)
     peeled = np.stack([ndtr(-first / 0.4), ndtr(first / 0.4)], axis=1)
     expect3 = (reference[:, :, None] * peeled[:, None, :]).reshape(-1, 8)
     assert np.all(table3 >= 0.0)
