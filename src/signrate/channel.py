@@ -28,6 +28,7 @@ same L + 1 intervals.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -41,6 +42,10 @@ __all__ = [
     "from_taps",
 ]
 
+
+# Pulses whose SNR-independent model assemble keeps per process; the 242
+# pulses of sweeps.default_grid() fit.
+MATCHED_MODELS = 256
 
 # Largest |SNR| in dB: the noise variance then lies in [1e-300, 1e300],
 # so it, the covariance and its Cholesky factor are normal floats.
@@ -182,15 +187,9 @@ def _noise_filter(g: FilterTaps, max_len: int) -> np.ndarray:
     return taps / np.sqrt(np.sum(taps ** 2))
 
 
-def from_taps(g: FilterTaps, combined: FilterTaps, alphabet: str,
-              snr_db: float) -> DiscreteChannel:
-    """Assemble the observation model from explicit filter taps.
-
-    ``combined`` is the full transmit-receive response; its span sets the
-    symbol memory L to span - 1.  The receive filter ``g`` is
-    center-cropped to L M + 1 taps for the noise band and renormalized so
-    the per-sample noise variance stays sigma2.
-    """
+def _model(g: FilterTaps, combined: FilterTaps):
+    """Oversampling M, memory L, and read-only A and noise taps: the part
+    of the model that does not depend on the SNR or the alphabet."""
     m = combined.oversampling
     if g.oversampling != m:
         raise ValueError("all filters must share one sample grid")
@@ -207,18 +206,48 @@ def from_taps(g: FilterTaps, combined: FilterTaps, alphabet: str,
     lags = (np.arange(memory + 1) * m + (m - 1) // 2
             - np.arange(m)[:, None])
     a_mat = np.pad(taps, (0, m))[taps.size - 1 - lags]
+    noise_taps = _noise_filter(g, memory * m + 1)
+    a_mat.flags.writeable = False
+    noise_taps.flags.writeable = False
+    return m, memory, a_mat, noise_taps
+
+
+def _channel(model, alphabet: str, snr_db: float) -> DiscreteChannel:
+    m, memory, a_mat, noise_taps = model
     return DiscreteChannel(alphabet=component_alphabet(alphabet),
                            oversampling=m, memory=memory,
                            sigma2=sigma2_from_snr_db(snr_db),
-                           noise_taps=_noise_filter(g, memory * m + 1),
-                           A=a_mat)
+                           noise_taps=noise_taps, A=a_mat)
+
+
+def from_taps(g: FilterTaps, combined: FilterTaps, alphabet: str,
+              snr_db: float) -> DiscreteChannel:
+    """Assemble the observation model from explicit filter taps.
+
+    ``combined`` is the full transmit-receive response; its span sets the
+    symbol memory L to span - 1.  The receive filter ``g`` is
+    center-cropped to L M + 1 taps for the noise band and renormalized so
+    the per-sample noise variance stays sigma2.  Each call builds a fresh
+    model.
+    """
+    return _channel(_model(g, combined), alphabet, snr_db)
+
+
+@functools.lru_cache(maxsize=MATCHED_MODELS)
+def _matched_model(spec: PulseSpec):
+    # discretize and combined_response are looked up as module attributes
+    # at call time, so a patched or traced stand-in sees every miss.
+    return _model(discretize(spec), combined_response(spec))
 
 
 def assemble(spec: PulseSpec, alphabet: str, snr_db: float) -> DiscreteChannel:
     """Assemble the matched-filter model for a pulse family.
 
     The receive filter equals the transmit pulse and the combined response
-    is their convolution (see :func:`combined_response`).
+    is their convolution (see :func:`combined_response`).  The part that
+    does not depend on the SNR or the alphabet (M, L, A and the noise
+    taps) is built once per :class:`PulseSpec` and process, for up to
+    ``MATCHED_MODELS`` pulses, and every channel of that pulse shares its
+    read-only arrays.  :func:`from_taps` builds afresh on every call.
     """
-    return from_taps(discretize(spec), combined_response(spec), alphabet,
-                     snr_db)
+    return _channel(_matched_model(spec), alphabet, snr_db)

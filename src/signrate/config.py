@@ -38,6 +38,9 @@ def canonical_json(data) -> str:
 class _CanonicalConfig:
     """Dict and canonical JSON round trip of a configuration dataclass."""
 
+    # No instance dict here, so a slotted subclass has none either.
+    __slots__ = ()
+
     @classmethod
     def from_dict(cls, data: dict):
         fields = {f.name for f in dataclasses.fields(cls)}
@@ -59,7 +62,7 @@ class _CanonicalConfig:
         return digest[:16]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RunConfig(_CanonicalConfig):
     family: str
     shape: float
@@ -76,14 +79,15 @@ class RunConfig(_CanonicalConfig):
     def __post_init__(self):
         # One type per field, so equal configurations compare, hash,
         # serialize and seed alike however the numbers were spelled.
-        for name in ("oversampling", "span_symbols", "samples", "seed"):
+        # PulseSpec types and validates the pulse numbers, which are
+        # copied back from it.
+        spec = self.pulse_spec()
+        for name in ("oversampling", "span_symbols", "shape",
+                     "signaling_ratio"):
+            object.__setattr__(self, name, getattr(spec, name))
+        for name in ("samples", "seed"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        for name in ("shape", "signaling_ratio", "snr_db"):
-            object.__setattr__(self, name,
-                               as_float(name, getattr(self, name)))
-        # Pulse parameter validation lives in PulseSpec; building one
-        # here surfaces those errors at configuration time.
-        self.pulse_spec()
+        object.__setattr__(self, "snr_db", as_float("snr_db", self.snr_db))
         component_alphabet(self.alphabet)
         sigma2_from_snr_db(self.snr_db)
         if self.estimator not in _ESTIMATORS:

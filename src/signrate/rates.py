@@ -70,7 +70,7 @@ def dmc_mutual_information(probs: np.ndarray, priors: np.ndarray) -> float:
     return max(mi, 0.0)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RateResult:
     """One evaluated rate point.
 

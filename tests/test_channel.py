@@ -7,13 +7,18 @@ Groups:
  2. Per-component alphabets: values, priors, symbol energy, rejection.
  3. Observation bit order.
  4. Assembled channel: dimensions, covariance structure, read-only state.
+ 5. The per-pulse memo behind assemble: same bits as a fresh build, one
+    build per distinct pulse, shared read-only arrays, no cached failures.
 """
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from signrate import channel
 from signrate.channel import (
     ComponentAlphabet,
     DiscreteChannel,
@@ -30,7 +35,9 @@ from signrate.pulses import (
     PulseSpec,
     combined_response,
     delta_taps,
+    discretize,
 )
+from signrate.sweeps import SweepConfig, run_sweep
 from signrate.transitions import enumerate_exact
 
 
@@ -220,3 +227,133 @@ def test_channel_arrays_are_read_only():
         with pytest.raises(ValueError):
             arr[0] = 9.9
 
+
+# -- Group 5: per-pulse memo ----------------------------------------------------------
+
+@pytest.fixture
+def fresh_memo():
+    channel._matched_model.cache_clear()
+    yield
+    channel._matched_model.cache_clear()
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count the pulse builds assemble makes through the channel module."""
+    calls = {"discretize": 0, "combined_response": 0}
+    for name in calls:
+        def counted(spec, _fn=getattr(channel, name), _name=name):
+            calls[_name] += 1
+            return _fn(spec)
+        monkeypatch.setattr(channel, name, counted)
+    return calls
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def test_memoized_assemble_matches_fresh_build(fresh_memo):
+    shapes = ((ROOT_RAISED_COSINE, 0.0), (ROOT_RAISED_COSINE, 0.35),
+              (GAUSSIAN, 0.3), (GAUSSIAN, 0.8))
+    for (family, shape), m, ratio in itertools.product(
+            shapes, (1, 2, 3, 4), (1.0, 1.4)):
+        spec = PulseSpec(family, shape, ratio, oversampling=m)
+        for alphabet, snr_db in itertools.product(("4qam", "16qam"),
+                                                  (-5.0, 3.0, 20.0)):
+            got = assemble(spec, alphabet, snr_db)
+            want = from_taps(discretize(spec), combined_response(spec),
+                             alphabet, snr_db)
+            assert got.alphabet is want.alphabet
+            assert (got.oversampling, got.memory, got.sigma2) == (
+                want.oversampling, want.memory, want.sigma2)
+            for field in ("A", "noise_taps", "R"):
+                assert _same_bits(getattr(got, field),
+                                  getattr(want, field)), (spec, field)
+    info = channel._matched_model.cache_info()
+    assert (info.misses, info.hits) == (32, 32 * 5)
+
+
+def test_equal_specs_build_once(fresh_memo, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    spellings = (PulseSpec(ROOT_RAISED_COSINE, 0.0, 1, oversampling=2),
+                 PulseSpec(ROOT_RAISED_COSINE, -0.0, 1.0, oversampling=2.0),
+                 PulseSpec(ROOT_RAISED_COSINE, 0, 1, 9.0, 2))
+    first = assemble(spellings[0], "4qam", 10.0)
+    for spec in spellings[1:]:
+        ch = assemble(spec, "16qam", 0.0)
+        assert ch.A is first.A and ch.noise_taps is first.noise_taps
+    assert calls == {"discretize": 1, "combined_response": 1}
+
+
+def test_shared_arrays_refuse_writes(fresh_memo):
+    spec = PulseSpec(GAUSSIAN, 0.5, 1.2, oversampling=3)
+    one = assemble(spec, "4qam", 5.0)
+    two = assemble(spec, "16qam", 15.0)
+    for field in ("A", "noise_taps"):
+        shared = getattr(one, field)
+        assert getattr(two, field) is shared
+        before = shared.copy()
+        with pytest.raises(ValueError):
+            shared[0] = 9.9
+        with pytest.raises(ValueError):
+            shared *= 2.0
+        assert _same_bits(shared, before)
+
+
+def test_vanishing_pulse_is_never_cached(fresh_memo, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    # Half of the smallest subnormal rounds to zero, so every tap is zero.
+    spec = PulseSpec(GAUSSIAN, 5e-324)
+    for attempt in (1, 2, 3):
+        with pytest.raises(ValueError, match="vanishes"):
+            assemble(spec, "4qam", 10.0)
+        assert calls["discretize"] == attempt
+        assert channel._matched_model.cache_info().currsize == 0
+
+
+def test_exact_sweep_builds_each_pulse_once(fresh_memo, monkeypatch,
+                                            tmp_path):
+    calls = _count_builds(monkeypatch)
+    config = SweepConfig(family=ROOT_RAISED_COSINE, beta=(0.22, 0.5),
+                         ratio=(1.25,), snr_db=(0.0, 10.0),
+                         oversampling=(1,), alphabets=("4qam", "16qam"),
+                         span_symbols=3, estimator="enum")
+    result = run_sweep(config, tmp_path / "grid.csv", workers=1)
+    assert len(result.rows) == 8
+    assert calls == {"discretize": 2, "combined_response": 2}
+
+
+def test_threads_share_the_memo(fresh_memo):
+    # More threads than cores and a short switch interval interleave
+    # concurrent misses and hits on the same pulses; every channel must
+    # still carry the bits of a fresh build.
+    specs = [PulseSpec(ROOT_RAISED_COSINE, beta, ratio, oversampling=m)
+             for beta, ratio, m in itertools.product((0.1, 0.5), (1.0, 1.5),
+                                                     (1, 2, 3))]
+    want = {spec: from_taps(discretize(spec), combined_response(spec),
+                            "4qam", 10.0) for spec in specs}
+    bad = []
+
+    def work(offset):
+        for k in range(4 * len(specs)):
+            spec = specs[(k + offset) % len(specs)]
+            ch = assemble(spec, "4qam", 10.0)
+            if not (_same_bits(ch.A, want[spec].A)
+                    and _same_bits(ch.noise_taps, want[spec].noise_taps)):
+                bad.append(spec)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * i,))
+                   for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+    assert channel._matched_model.cache_info().currsize == len(specs)
