@@ -42,7 +42,7 @@ print(f"difference:  {abs(mc.rate_bpcu - exact.rate_bpcu) / mc.stderr:.2f} "
 #
 # At M = 4 the matched filter correlates the noise of all four samples.
 # The enumerator integrates Plackett's identity over one smooth variable,
-# checked against a second node rule, so this point is exact too.
+# with an embedded check on the same nodes, so this point is exact too.
 
 m4 = {**base, "oversampling": 4, "span_symbols": 9}
 mc4 = rate_for_config(RunConfig(**m4, estimator="mc", samples=1_000_000))

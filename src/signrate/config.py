@@ -23,6 +23,7 @@ import json
 
 from .channel import component_alphabet, sigma2_from_snr_db
 from .pulses import PulseSpec, as_float, as_int
+from .transitions import check_samples
 
 __all__ = ["RunConfig"]
 
@@ -93,8 +94,7 @@ class RunConfig(_CanonicalConfig):
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}, "
                              f"got {self.estimator!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        check_samples(self.samples)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.schema_version != 1:

@@ -28,8 +28,8 @@ class QuadratureToleranceError(RuntimeError):
     ``achieved`` is the largest deviation of a window's or a table row's
     probabilities from a sum of one or, for tables whose kernel
     integrates (correlated noise at M = 3 or 4), the largest difference
-    between the tables computed at two node counts; NaN when a table is
-    not finite.
+    between the table and its embedded check on the same nodes; NaN when
+    a table is not finite.
     """
 
     def __init__(self, achieved: float, requested: float):

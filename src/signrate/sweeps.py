@@ -83,9 +83,13 @@ class SweepConfig(_CanonicalConfig):
 
     def __post_init__(self):
         for axis, _ in _AXES:
-            object.__setattr__(self, axis, tuple(getattr(self, axis)))
-            if not getattr(self, axis):
+            values = getattr(self, axis)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"axis {axis!r} must be a list of values, "
+                                 f"got {values!r}")
+            if not values:
                 raise ValueError(f"axis {axis!r} must not be empty")
+            object.__setattr__(self, axis, tuple(values))
         # Every value is read back from a probe cell, so RunConfig alone
         # types the numbers (a grid typed with 2.0 or 10 echoes and
         # fingerprints like one typed with 2 or 10.0) and validates every

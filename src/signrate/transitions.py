@@ -30,10 +30,11 @@ Two estimators produce the table:
   Phi from Cephes' rational approximations, Genz's fixed-node form for
   pairs, so M <= 2 and diagonal noise need no adaptive quadrature, and
   Plackett's identity, one smooth integral each on a fixed
-  Gauss-Legendre rule, for three and four; the kernel re-runs those
-  integrals on a second, coarser rule and accepts a table only when the
-  two agree.  Correlated noise is exact up to M = 4 and refused beyond
-  that; :func:`check_enumerable` owns that refusal and the budget's.
+  Gauss-Legendre rule, for three and four; an embedded check on the same
+  nodes weighs the same integrand values again, and the kernel accepts a
+  table only when the two agree.  Correlated noise is exact up to M = 4
+  and refused beyond that; :func:`check_enumerable` owns that refusal and
+  the budget's.
   The kernel is numpy alone; its quadrature rules are built the first
   time it runs, so importing the package and Monte Carlo tables load no
   ``numpy.polynomial``.
@@ -81,11 +82,9 @@ ENUM_BUDGET = 1 << 26
 # Largest quadrature deviation an exact table may carry.
 ENUM_TOL = 1e-6
 
-# Node counts of the Gauss-Legendre rules on the Plackett t-integrals:
-# tables use the first, and their difference from the second bounds the
-# quadrature error.
+# Nodes of the Gauss-Legendre rule on the Plackett t-integrals.  Tables
+# use it; the interpolatory rule on its odd-indexed nodes checks it.
 _GAUSS_LEGENDRE = 64
-_GAUSS_LEGENDRE_CHECK = 48
 
 # Elements of the kernel's largest arrays per block of rows.
 _KERNEL_ROWS = 1 << 20
@@ -147,6 +146,12 @@ def component_cholesky(ch: DiscreteChannel) -> np.ndarray:
 
 
 # -- Monte Carlo ----------------------------------------------------------------
+
+
+def check_samples(samples: int) -> None:
+    """Refuse a sample budget outside [1, 2^63): counts are int64."""
+    if not 1 <= samples < 1 << 63:
+        raise ValueError(f"samples must lie in [1, 2^63), got {samples}")
 
 
 def _level_cdf(priors: np.ndarray) -> np.ndarray:
@@ -242,8 +247,7 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
     fixed blocks through one set of block-sized buffers per thread, and
     its counts equal those of an unblocked pass over the same stream.
     """
-    if samples < 1:
-        raise ValueError("sample count must be positive")
+    check_samples(samples)
     if workers < 1:
         raise ValueError("worker count must be positive")
     chol = component_cholesky(ch)
@@ -392,6 +396,19 @@ def _gauss_legendre(n: int) -> tuple:
 
 
 @functools.cache
+def _embedded_weights(n: int) -> np.ndarray:
+    """Weights of the interpolatory rule on the odd-indexed nodes of the
+    n-node Gauss-Legendre rule: the n / 2 weights that integrate the
+    Legendre polynomials P_0 ... P_{n/2 - 1} over [-1, 1] exactly, to 2
+    and then 0.  Built on first use, like :func:`_gauss_legendre`."""
+    from numpy.polynomial.legendre import legvander
+    points = _gauss_legendre(n)[0][1::2]
+    moments = np.zeros(points.size)
+    moments[0] = 2.0
+    return np.linalg.solve(legvander(points, points.size - 1).T, moments)
+
+
+@functools.cache
 def _genz_rule(rule: int) -> tuple:
     """Nodes and weights of Genz's ``rule`` for a mean over [0, 1]."""
     points, weights = _gauss_legendre(_GENZ_NODES[rule])
@@ -521,10 +538,10 @@ def _genz(h, k, phi_h, phi_k, rho, rule: int) -> np.ndarray:
                     np.where(h + k > 0, between, 0.0) - bvn)
 
 
-def _plackett_terms(h: np.ndarray, corr: np.ndarray, a: int, j: int,
-                    rule: tuple):
+def _plackett_terms(h: np.ndarray, corr: np.ndarray, a: int, j: int):
     """The (a, j) terms of Plackett's identity for Phi_k(h; corr), k = 3, 4,
-    as a function of the rest samples, which must lie after a.
+    as a function of the rest samples, which must lie after a: one row on
+    the ``_GAUSS_LEGENDRE`` rule and one on its embedded check.
 
     Along t in [0, 1] the correlations of sample a scale to t times their
     value, so R(t) mixes ``corr`` with a matrix where a is independent,
@@ -532,13 +549,15 @@ def _plackett_terms(h: np.ndarray, corr: np.ndarray, a: int, j: int,
     Phi_{k-2}(h_rest | Z_a = h_a, Z_j = h_j; R(t)) (Plackett 1954; Genz
     2004).  The integrand steepens towards t = 1 when ``corr`` is nearly
     singular or |rho_aj| nearly one, with its singularities just beyond
-    t = 1, so the Gauss-Legendre points and weights of ``rule`` are placed
-    in u with t = 1 - u^2, which moves them off the interval.  The density
+    t = 1, so the Gauss-Legendre points are placed in u with t = 1 - u^2,
+    which moves them off the interval.  The check rule weighs the same
+    integrand values on the odd-indexed nodes (:func:`_embedded_weights`),
+    so each value is computed once for both estimates.  The density
     and the conditional law of every sample after a but j do not depend on
     which of them are the rest, so they, and one :func:`_ndtr` call, are
     shared by every subset whose (a, j) term this is.
     """
-    points, weights = rule
+    points, weights = _gauss_legendre(_GAUSS_LEGENDRE)
     rest = [i for i in range(a + 1, h.shape[1]) if i != j]
     u = (points + 1.0) / 2.0
     t = 1.0 - u * u
@@ -563,6 +582,7 @@ def _plackett_terms(h: np.ndarray, corr: np.ndarray, a: int, j: int,
                      / (2.0 * det)) / (2.0 * np.pi * np.sqrt(det))
     # dt = 2u du and du = dp / 2 on the nodes' [-1, 1].
     scaled = weights * u
+    check = _embedded_weights(_GAUSS_LEGENDRE) * u[1::2]
 
     def term(samples: list) -> np.ndarray:
         cols = [rest.index(i) for i in samples]
@@ -573,7 +593,11 @@ def _plackett_terms(h: np.ndarray, corr: np.ndarray, a: int, j: int,
             inner = _phi2(x[..., p], x[..., q],
                           cov[:, p, q] / (sd[:, p] * sd[:, q]),
                           phi[..., p], phi[..., q])
-        return corr[a, j] * ((density * inner) @ scaled)
+        values = density * inner
+        # Two products, not one with two weight columns: a matrix product
+        # would sum the table's terms in another order than this one.
+        return corr[a, j] * np.stack([values @ scaled,
+                                      values[:, 1::2] @ check])
 
     return term
 
@@ -590,10 +614,10 @@ def _subset_orthants(means: np.ndarray, chol: np.ndarray) -> np.ndarray:
     t-integral per partner j of a (its lowest sample), for three and four.
     The pattern whose negative samples are exactly T then follows by
     inclusion and exclusion, P = sum over U containing T of
-    (-1)^|U - T| F(U).  The t-integrals run on ``_GAUSS_LEGENDRE`` and
-    again, over the same singles and pairs, on ``_GAUSS_LEGENDRE_CHECK``;
-    tables that differ by more than ``ENUM_TOL`` raise
-    :class:`QuadratureToleranceError`.
+    (-1)^|U - T| F(U).  The t-integrals run on ``_GAUSS_LEGENDRE``, and
+    an embedded check on the same nodes gives a second table from the
+    same integrand values; tables that differ by more than ``ENUM_TOL``
+    raise :class:`QuadratureToleranceError`.
     """
     n, k = means.shape
     # Per row, the largest arrays hold the Plackett nodes times the k - 2
@@ -611,29 +635,29 @@ def _subset_orthants(means: np.ndarray, chol: np.ndarray) -> np.ndarray:
     h = np.maximum(-means / sigma, -_H_LIMIT)
     np.minimum(h, _H_LIMIT, out=h)
     phi = _ndtr(h)
-    # One CDF table per node rule where t-integrals run, else one.
-    rules = (_GAUSS_LEGENDRE, _GAUSS_LEGENDRE_CHECK) if k > 2 else ()
-    cdf = np.ones((len(rules) or 1, n, 1 << k))
+    # One CDF table where no t-integral runs; else the table's and the
+    # check's, from the same Plackett terms.
+    integrates = k > 2
+    cdf = np.ones((1 + integrates, n, 1 << k))
     for a in range(k):
         cdf[..., 1 << a] = phi[:, a]
         for b in range(a + 1, k):
             cdf[..., 1 << a | 1 << b] = _phi2(h[:, a], h[:, b], corr[a, b],
                                               phi[:, a], phi[:, b])
-    for table, nodes in zip(cdf, rules):
-        # Plackett terms by (a, j), each shared by every subset it occurs in.
-        terms = {}
-        # Dropping a bit gives a smaller mask, so Phi_{|U|-1}(U - a) is ready.
-        for mask in range(1, 1 << k):
-            a, *others = [j for j in range(k) if mask >> j & 1]
-            if len(others) < 2:
-                continue
-            total = phi[:, a] * table[:, mask & (mask - 1)]
-            for j in others:
-                if (a, j) not in terms:
-                    terms[a, j] = _plackett_terms(h, corr, a, j,
-                                                  _gauss_legendre(nodes))
-                total += terms[a, j]([i for i in others if i != j])
-            table[:, mask] = total
+    # Plackett terms by (a, j), each shared by every subset it occurs in.
+    terms = {}
+    # Dropping a bit gives a smaller mask, so Phi_{|U|-1}(U - a) is ready.
+    # The first mask of three samples is 0b111, so a pair runs no loop.
+    for mask in range(7, 1 << k):
+        a, *others = [j for j in range(k) if mask >> j & 1]
+        if len(others) < 2:
+            continue
+        total = phi[:, a] * cdf[..., mask & (mask - 1)]
+        for j in others:
+            if (a, j) not in terms:
+                terms[a, j] = _plackett_terms(h, corr, a, j)
+            total += terms[a, j]([i for i in others if i != j])
+        cdf[..., mask] = total
     # Moebius inversion over supersets, one sample (array axis) at a time;
     # the column of pattern y is then its negative set ~y.
     table = cdf.reshape(cdf.shape[:2] + (2,) * k)
@@ -644,7 +668,7 @@ def _subset_orthants(means: np.ndarray, chol: np.ndarray) -> np.ndarray:
     out = cdf[..., ::-1]
     # Cancellation must never leave a negative probability.
     np.maximum(out, 0.0, out=out)
-    if rules:
+    if integrates:
         deviation = float(np.abs(out[0] - out[1]).max())
         # Written so that a NaN deviation fails.
         if not deviation <= ENUM_TOL:
@@ -704,10 +728,11 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     call each: normal CDF products where sample noise is uncorrelated, and
     the subset-CDF kernel for each block of 2, 3 or 4 correlated samples,
     which certifies its own Plackett integrals (three or more samples).
-    :class:`QuadratureToleranceError` is raised when the kernel's two node
-    rules, or a window's probabilities and a sum of one, differ by more
-    than ``ENUM_TOL``.  Rows come out bitwise sign-symmetric because the
-    upper half is a mirrored copy of the lower half.
+    :class:`QuadratureToleranceError` is raised when the kernel's table and
+    its embedded check on the same nodes, or a window's probabilities and
+    a sum of one, differ by more than ``ENUM_TOL``.  Rows come out bitwise
+    sign-symmetric because the upper half is a mirrored copy of the lower
+    half.
     """
     alpha = ch.alphabet
     n_levels = alpha.size

@@ -425,6 +425,11 @@ def test_nan_deviation_refusal_is_strict_json(capsys, monkeypatch):
 @pytest.mark.parametrize("overrides, message", [
     ({"beta": [0.2, 1.5]}, "roll-off"),
     ({"oversampling": [1, 2.5]}, "oversampling must be an integer"),
+    # A scalar or a string used to be iterated: "'int' object is not
+    # iterable", or "unknown alphabet '4'".
+    ({"snr_db": 25}, "axis 'snr_db' must be a list of values, got 25"),
+    ({"alphabets": "4qam"},
+     "axis 'alphabets' must be a list of values, got '4qam'"),
 ])
 def test_sweep_refuses_invalid_axis_value(tmp_path, capsys, overrides,
                                           message):
@@ -436,6 +441,30 @@ def test_sweep_refuses_invalid_axis_value(tmp_path, capsys, overrides,
     assert code == 2
     assert message in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rate", "sweep"])
+def test_sample_budget_beyond_int64_exits_2(tmp_path, capsys, monkeypatch,
+                                             command):
+    # 2^63 samples used to reach the Monte Carlo cell, which failed with a
+    # traceback and exit 1; no cell may run with such a budget.
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a Monte Carlo cell ran")
+
+    monkeypatch.setattr(signrate.rates, "mc_estimate", no_cell)
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path, estimator="mc")
+    out = tmp_path / "out"
+    argv = {
+        "rate": _RATE_ARGS[:-1] + ["mc"],
+        "sweep": ["sweep", "--config", str(cfg_path)],
+    }[command]
+    code, stdout, stderr = _run(capsys, argv + [
+        "--samples", str(1 << 63), "--out", str(out)])
+    assert code == 2
+    assert "2^63" in stderr
+    assert "Traceback" not in stderr
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("overrides, refusal", [

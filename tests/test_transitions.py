@@ -125,10 +125,10 @@ def test_exact_table_correlated_matches_mvn_reference(m, span):
 
 
 def test_exact_table_refuses_uncertified_quadrature(monkeypatch):
-    # The 48- and 64-node tables of these correlated channels, where the
-    # kernel integrates, agree to a few 1e-16 at M = 3 and to about 1e-13
-    # at M = 4 (nearly singular noise); a tolerance below that must
-    # refuse, the default must not.
+    # The tables of these correlated channels, where the kernel
+    # integrates, and their embedded checks agree to about 3.3e-12 at
+    # M = 3 and 9.6e-10 at M = 4 (nearly singular noise); a tolerance
+    # below that must refuse, the default must not.
     for spec in (PulseSpec(ROOT_RAISED_COSINE, 0.0, signaling_ratio=2.0,
                            span_symbols=5, oversampling=3),
                  PulseSpec(GAUSSIAN, 0.3, span_symbols=9, oversampling=4)):
@@ -147,22 +147,22 @@ def test_exact_table_refuses_uncertified_quadrature(monkeypatch):
     (4, "rrc", True)])
 def test_check_rule_runs_only_where_the_kernel_integrates(monkeypatch, m,
                                                           noise, integrates):
-    # Each window chunk is one full-width kernel call.  The kernel runs
-    # its Plackett integrals on the table's rule and on the check rule
-    # only where it integrates; a quadrature-free table (correlated
-    # M <= 2, or diagonal noise) runs neither.
+    # Each window chunk is one full-width kernel call.  Where the kernel
+    # integrates, each (a, j) Plackett term is built once per block and
+    # serves both the table and its check; a quadrature-free table
+    # (correlated M <= 2, or diagonal noise) builds none.
     real_table = transitions.orthant_table
     real_terms = transitions._plackett_terms
-    calls, rules = [], set()
+    calls, built = [], []
 
     def spy_table(means, chol):
         if means.shape[1] == m:
             calls.append(len(means))
         return real_table(means, chol)
 
-    def spy_terms(h, corr, a, j, rule):
-        rules.add(rule[0].size)
-        return real_terms(h, corr, a, j, rule)
+    def spy_terms(h, corr, a, j):
+        built.append((len(h), a, j))
+        return real_terms(h, corr, a, j)
 
     monkeypatch.setattr(transitions, "orthant_table", spy_table)
     monkeypatch.setattr(transitions, "_plackett_terms", spy_terms)
@@ -175,8 +175,25 @@ def test_check_rule_runs_only_where_the_kernel_integrates(monkeypatch, m,
         ch = _delta_channel("4qam", snr_db=8.0, m=m, span=3)
     enumerate_exact(ch)
     assert calls == [3, 1]
-    both = {transitions._GAUSS_LEGENDRE, transitions._GAUSS_LEGENDRE_CHECK}
-    assert rules == (both if integrates else set())
+    # A term pairs a sample a that has two later samples with one of them:
+    # 2 terms per block at M = 3, 5 at M = 4.
+    terms = {3: [(0, 1), (0, 2)],
+             4: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]}
+    expected = terms[m] if integrates else []
+    assert built == [(rows, a, j) for rows in calls for a, j in expected]
+
+
+def test_check_weights_form_a_rule_on_the_odd_nodes():
+    n = transitions._GAUSS_LEGENDRE
+    points = transitions._gauss_legendre(n)[0]
+    weights = transitions._embedded_weights(n)
+    assert weights.shape == (n // 2,)
+    assert (weights > 0).all()
+    # The rule's nodes are the odd-indexed ones; it integrates P_0 ...
+    # P_{n/2 - 1} over [-1, 1] exactly.
+    basis = np.polynomial.legendre.legvander(points, n // 2 - 1)
+    moments = weights @ basis[1::2]
+    assert np.abs(moments - np.eye(n // 2)[0] * 2.0).max() < 1e-14
 
 
 def _bivariate_reference(means, chol):
@@ -414,6 +431,9 @@ def test_mc_rejects_bad_arguments():
         mc_estimate(ch, samples=0, seed=1)
     with pytest.raises(ValueError):
         mc_estimate(ch, samples=100, seed=1, workers=0)
+    # Counts are int64; no chunk may run with such a budget.
+    with pytest.raises(ValueError, match="2\\^63"):
+        mc_estimate(ch, samples=1 << 63, seed=1)
 
 
 # -- Group 5: utilities -------------------------------------------------------------------
