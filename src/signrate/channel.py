@@ -76,7 +76,7 @@ class ComponentAlphabet:
     ``priors`` must be a matching symmetric probability vector; both are
     required by the sign-flip symmetry the estimators exploit.  Energy is
     not constrained here so tests can build scaled variants; the registry
-    accessor checks the unit-energy convention.
+    checks the unit-energy convention once, when it is built.
     """
 
     name: str
@@ -117,22 +117,29 @@ def _uniform(name: str, levels) -> ComponentAlphabet:
     return ComponentAlphabet(name, levels, np.full(levels.size, 1.0 / levels.size))
 
 
-_ALPHABETS = {
-    "4qam": _uniform("4qam", np.array([-1.0, 1.0]) / np.sqrt(2.0)),
-    "16qam": _uniform("16qam", np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)),
-}
+def _registry(*alphabets: ComponentAlphabet) -> dict:
+    """Alphabets by name, each checked once for unit complex symbol
+    energy, which means one half per component."""
+    for alpha in alphabets:
+        if not abs(alpha.symbol_energy - 0.5) < 1e-12:
+            raise ValueError(f"alphabet {alpha.name!r} has component energy "
+                             f"{alpha.symbol_energy!r}, not 1/2")
+    return {alpha.name: alpha for alpha in alphabets}
+
+
+_ALPHABETS = _registry(
+    _uniform("4qam", np.array([-1.0, 1.0]) / np.sqrt(2.0)),
+    _uniform("16qam", np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)),
+)
 
 
 def component_alphabet(name: str) -> ComponentAlphabet:
     """Look up a built-in component alphabet by constellation name."""
     try:
-        alpha = _ALPHABETS[name]
+        return _ALPHABETS[name]
     except KeyError:
         known = ", ".join(sorted(_ALPHABETS))
         raise ValueError(f"unknown alphabet {name!r} (known: {known})") from None
-    # Unit complex symbol energy means one half per component.
-    assert abs(alpha.symbol_energy - 0.5) < 1e-12
-    return alpha
 
 
 @dataclasses.dataclass(frozen=True)

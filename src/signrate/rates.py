@@ -40,11 +40,12 @@ __all__ = [
 BLOCK_BUDGET = 1 << 22
 
 
-def _entropy_terms(p: np.ndarray, q: np.ndarray) -> float:
-    """Sum of p * log2(p / q) over entries with p > 0."""
+def _entropy_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sums of p * log2(p / q) over the entries with p > 0 along the last
+    axis, q broadcast against p: one sum per row of a table."""
     mask = p > 0.0
     ratio = np.where(mask, p / np.where(mask, q, 1.0), 1.0)
-    return float(np.sum(np.where(mask, p * np.log2(ratio), 0.0)))
+    return np.sum(np.where(mask, p * np.log2(ratio), 0.0), axis=-1)
 
 
 def dmc_mutual_information(probs: np.ndarray, priors: np.ndarray) -> float:
@@ -66,7 +67,7 @@ def dmc_mutual_information(probs: np.ndarray, priors: np.ndarray) -> float:
     if not (np.all(priors >= 0.0) and abs(priors.sum() - 1.0) <= 1e-9):
         raise ValueError("priors must be a probability vector")
     marginal = priors @ probs
-    mi = float(priors @ [_entropy_terms(row, marginal) for row in probs])
+    mi = float(priors @ _entropy_terms(probs, marginal))
     return max(mi, 0.0)
 
 
@@ -199,8 +200,8 @@ def block_entropy_bound(ch: DiscreteChannel, n_intervals: int) -> BoundReport:
     p_y = joint.sum(axis=0)
     # H(X | Y) = -sum p(x, y) log2 p(x | y), and _entropy_terms(joint, p_y)
     # is exactly the sum with the opposite sign.
-    block_entropy = -_entropy_terms(
-        joint.ravel(), np.broadcast_to(p_y, joint.shape).ravel())
+    block_entropy = -float(_entropy_terms(
+        joint.ravel(), np.broadcast_to(p_y, joint.shape).ravel()))
 
     marginal_sum = 0.0
     for k in range(n_intervals):
@@ -211,8 +212,8 @@ def block_entropy_bound(ch: DiscreteChannel, n_intervals: int) -> BoundReport:
             col = joint[x_k == level].sum(axis=0)
             p_k[level] = np.bincount(y_k, weights=col, minlength=1 << m)
         p_yk = p_k.sum(axis=0)
-        marginal_sum += -_entropy_terms(
-            p_k.ravel(), np.broadcast_to(p_yk, p_k.shape).ravel())
+        marginal_sum -= float(_entropy_terms(
+            p_k.ravel(), np.broadcast_to(p_yk, p_k.shape).ravel()))
 
     return BoundReport(
         n_intervals=n_intervals, block_entropy=block_entropy,

@@ -23,9 +23,12 @@ Two estimators produce the table:
   pass.
 
 * :func:`enumerate_exact` enumerates all symbol windows and sums their
-  Gaussian orthant probabilities, all from one vectorized kernel.  A
-  sample whose noise no later sample shares contributes a normal CDF
-  factor.  The 2, 3 or 4 correlated samples left take every sign
+  Gaussian orthant probabilities, all from one vectorized kernel.  The
+  windows, their prior weights and output codes depend only on the
+  alphabet, L and M, and :func:`_windows` keeps them per process, within
+  a memory bound, so an exact table costs its kernel calls and
+  reductions.  A sample whose noise no later sample shares contributes a
+  normal CDF factor.  The 2, 3 or 4 correlated samples left take every sign
   pattern by inclusion and exclusion from normal CDFs of their subsets:
   Phi from Cephes' rational approximations, Genz's fixed-node form for
   pairs, so M <= 2 and diagonal noise need no adaptive quadrature, and
@@ -717,6 +720,60 @@ def check_enumerable(ch: DiscreteChannel) -> np.ndarray:
     return chol
 
 
+def _window_set(levels: tuple, priors: tuple, memory: int, m: int) -> tuple:
+    """The part of an exact table that depends only on the alphabet, L
+    and M, as read-only arrays: the levels of every window whose center
+    lies in the lower half of the alphabet (one row per window, in
+    enumeration order), each window's neighbor-prior weight, its flat
+    (center level, pattern) bincount codes, ``2^M`` per window, and the
+    pattern permutation that negates every sample.
+
+    :func:`_windows` keeps up to ``_WINDOW_SETS`` of them, those of at
+    most ``_WINDOW_SET_BYTES`` each.
+    """
+    levels, priors = np.array(levels), np.array(priors)
+    n_levels = levels.size
+    center_pos = memory // 2
+    n_out = 1 << m
+    shape = [n_levels] * (memory + 1)
+    shape[center_pos] = (n_levels + 1) // 2
+    digits = np.stack(np.unravel_index(np.arange(np.prod(shape)), shape),
+                      axis=1)
+    neighbors = [i for i in range(memory + 1) if i != center_pos]
+    arrays = (levels[digits],
+              np.prod(priors[digits[:, neighbors]], axis=1),
+              (digits[:, center_pos, None] * n_out + np.arange(n_out)).ravel(),
+              flip_index(np.arange(n_out), m))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+# Window sets _windows keeps per process, and the size above which a set
+# is built afresh on every call instead: at most 16 MiB held in all.
+_WINDOW_SETS = 16
+_WINDOW_SET_BYTES = 1 << 20
+
+_window_memo = functools.lru_cache(maxsize=_WINDOW_SETS)(_window_set)
+
+
+def _windows(ch: DiscreteChannel) -> tuple:
+    """:func:`_window_set` of the channel's alphabet, L and M.
+
+    The set is keyed on the alphabet's levels and priors, not its name,
+    and is built once per process when its arrays take at most
+    ``_WINDOW_SET_BYTES`` (8 (L + 2 + 2^M) bytes per window); larger sets,
+    whose tables the kernel dominates, are built on every call.
+    """
+    alpha = ch.alphabet
+    n_windows = (alpha.size + 1) // 2 * alpha.size ** ch.memory
+    nbytes = 8 * ((n_windows + 1) * ch.n_outputs
+                  + n_windows * (ch.memory + 2))
+    build = _window_memo if nbytes <= _WINDOW_SET_BYTES else _window_set
+    return build(tuple(alpha.levels.tolist()), tuple(alpha.priors.tolist()),
+                 ch.memory, ch.oversampling)
+
+
 def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     """Compute the transition table by exhaustive window enumeration.
 
@@ -724,7 +781,10 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     refuses a table above ``ENUM_BUDGET`` with
     :class:`BudgetExceededError`, and correlated noise beyond M = 4 with
     :class:`CorrelatedNoiseError`, which asks for the Monte Carlo path
-    instead.  Windows go to :func:`orthant_table` in fixed chunks, one
+    instead.  The windows, their prior weights and codes come from
+    :func:`_windows`, which keeps them per (alphabet, L, M) and process
+    within a memory bound, so a table costs its kernel calls and
+    reductions.  Windows go to :func:`orthant_table` in fixed chunks, one
     call each: normal CDF products where sample noise is uncorrelated, and
     the subset-CDF kernel for each block of 2, 3 or 4 correlated samples,
     which certifies its own Plackett integrals (three or more samples).
@@ -734,36 +794,26 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     sign-symmetric because the upper half is a mirrored copy of the lower
     half.
     """
-    alpha = ch.alphabet
-    n_levels = alpha.size
-    length = ch.memory + 1
-    center_pos = ch.memory // 2
+    n_levels = ch.alphabet.size
     n_out = ch.n_outputs
     chol = check_enumerable(ch)
+    levels, weights, codes, flipped = _windows(ch)
 
-    # Windows with the center in the lower half of the levels; the rest
-    # mirrors.
-    n_direct = (n_levels + 1) // 2
-    shape = (n_levels,) * center_pos + (n_direct,) + (n_levels,) * (
-        length - center_pos - 1)
-    n_direct_win = n_direct * n_levels ** ch.memory
-    neighbors = [i for i in range(length) if i != center_pos]
     probs = np.zeros((n_levels, n_out))
-    for start in range(0, n_direct_win, _WINDOW_CHUNK):
-        flat = np.arange(start, min(start + _WINDOW_CHUNK, n_direct_win))
-        digits = np.stack(np.unravel_index(flat, shape), axis=1)
-        table = orthant_table(alpha.levels[digits] @ ch.A.T, chol)
+    for start in range(0, len(weights), _WINDOW_CHUNK):
+        stop = start + _WINDOW_CHUNK
+        table = orthant_table(levels[start:stop] @ ch.A.T, chol)
         residual = float(np.abs(table.sum(axis=1) - 1.0).max())
         # Written so that a NaN residual fails.
         if not residual <= ENUM_TOL:
             raise QuadratureToleranceError(residual, ENUM_TOL)
-        weights = np.prod(alpha.priors[digits[:, neighbors]], axis=1)
-        codes = (digits[:, center_pos, None] * n_out + np.arange(n_out)).ravel()
-        probs += np.bincount(codes, weights=(weights[:, None] * table).ravel(),
-                             minlength=n_levels * n_out).reshape(probs.shape)
+        probs += np.bincount(
+            codes[start * n_out:stop * n_out],
+            weights=(weights[start:stop, None] * table).ravel(),
+            minlength=n_levels * n_out).reshape(probs.shape)
 
-    flipped = flip_index(np.arange(n_out), ch.oversampling)
-    for i in range(n_levels - n_direct):
+    # Windows with the center in the upper half mirror the lower half.
+    for i in range(n_levels // 2):
         probs[n_levels - 1 - i] = probs[i][flipped]
 
     row_error = float(np.abs(probs.sum(axis=1) - 1.0).max())

@@ -123,6 +123,18 @@ def test_component_symbol_energy_is_half(name):
     assert abs(energy - 0.5) < 1e-12
 
 
+def test_registry_alphabets_have_unit_energy():
+    # The registry checks each alphabet once, when it is built, so the
+    # check also runs under python -O.
+    assert sorted(channel._ALPHABETS) == ["16qam", "4qam"]
+    for name, alpha in channel._ALPHABETS.items():
+        assert alpha.name == name
+        assert abs(alpha.symbol_energy - 0.5) < 1e-12
+    loud = ComponentAlphabet("loud", [-1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="loud"):
+        channel._registry(component_alphabet("4qam"), loud)
+
+
 def test_unknown_alphabet_rejected():
     with pytest.raises(ValueError):
         component_alphabet("8psk")

@@ -32,6 +32,7 @@ from signrate.pulses import (
 )
 from signrate.rates import (
     BLOCK_BUDGET,
+    _entropy_terms,
     block_entropy_bound,
     dmc_mutual_information,
     rate_for_config,
@@ -105,6 +106,31 @@ def test_mi_equals_entropy_difference():
                                  for p, row in zip(priors, probs))
             info = dmc_mutual_information(probs, priors)
             assert abs((h_out - h_out_given_in) - info) < 1e-12
+
+
+def test_mi_equals_per_row_reference_bitwise():
+    # One masked pass over the table gives, bit for bit, the sum of one
+    # _entropy_terms call per row weighted by the priors.
+    def per_row(probs, priors):
+        marginal = priors @ probs
+        terms = [float(_entropy_terms(row, marginal)) for row in probs]
+        return max(float(priors @ terms), 0.0)
+
+    rng = np.random.default_rng(11)
+    tables = []
+    for n_in, n_out in [(2, 2), (4, 16), (8, 4), (3, 7), (4, 256)]:
+        for _ in range(20):
+            probs = rng.random((n_in, n_out))
+            probs[rng.random(probs.shape) < 0.4] = 0.0
+            probs[:, 0] += 1e-3
+            probs /= probs.sum(axis=1, keepdims=True)
+            tables.append((probs, rng.dirichlet(np.ones(n_in))))
+    ch = from_taps(*(2 * [delta_taps(3, 4)]), "16qam", 4.0)
+    # Ten chunks fill all ten chunk groups.
+    mc = mc_estimate(ch, samples=10 * 65536, seed=3)
+    tables += [(gp, ch.alphabet.priors) for gp in mc.group_probs()]
+    for probs, priors in tables:
+        assert dmc_mutual_information(probs, priors) == per_row(probs, priors)
 
 
 def test_mi_validates_inputs():

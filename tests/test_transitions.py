@@ -6,7 +6,8 @@ Groups:
  2. Exact tables with correlated samples, and the kernel's orthants of
     a correlated pair (alone or after an independent sample), against
     an independent multivariate normal CDF reference.
- 3. Structural invariants: sign symmetry (bitwise), row sums, refusals.
+ 3. Structural invariants: sign symmetry (bitwise), row sums, refusals;
+    literal exact tables, and the memo of their window sets.
  4. Monte Carlo: determinism across worker counts, the blocked chunk
     kernel against a single-pass reference, chunk reuse across sample
     budgets, agreement with exact tables, error calibration.
@@ -23,7 +24,13 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from signrate import transitions
-from signrate.channel import assemble, component_alphabet, flip_index, from_taps
+from signrate.channel import (
+    ComponentAlphabet,
+    assemble,
+    component_alphabet,
+    flip_index,
+    from_taps,
+)
 from signrate.errors import (
     BudgetExceededError,
     CorrelatedNoiseError,
@@ -292,6 +299,116 @@ def test_cholesky_factor_reproduces_covariance():
                   "4qam", snr_db=10.0)
     chol = component_cholesky(ch)
     assert np.allclose(chol @ chol.T, ch.R_component, rtol=0, atol=1e-15)
+
+
+# Literal exact tables, as float.hex.  They pin the exact path (windows,
+# prior weights, kernel and reduction order) bit for bit on 4qam M = 2 at
+# two SNRs, a 16qam table, an integrating M = 3 table, and an alphabet
+# that is in no registry (4qam levels times 1.5).  All use rrc 0.5 at
+# ratio 1.2.
+PINNED_TABLES = {
+    ('4qam', 2, 9, 0.0): [
+        ['0x1.4fae139c5ed3fp-1', '0x1.b7f35a284c9b7p-5', '0x1.6c63c08e5b097p-3', '0x1.cdce34ec2cfe6p-4'],
+        ['0x1.cdce34ec2cfe6p-4', '0x1.6c63c08e5b097p-3', '0x1.b7f35a284c9b7p-5', '0x1.4fae139c5ed3fp-1'],
+    ],
+    ('4qam', 2, 9, 30.0): [
+        ['0x1.80012fa9ec8b1p-1', '0x0.0p+0', '0x1.fffb41584dd47p-3', '0x0.0p+0'],
+        ['0x0.0p+0', '0x1.fffb41584dd47p-3', '0x0.0p+0', '0x1.80012fa9ec8b1p-1'],
+    ],
+    ('16qam', 1, 5, 10.0): [
+        ['0x1.ffc9efe21ca29p-1', '0x1.b080ef1aeb99bp-12'],
+        ['0x1.b86e6615fe01cp-1', '0x1.1e4667a807f80p-3'],
+        ['0x1.1e4667a807f80p-3', '0x1.b86e6615fe01cp-1'],
+        ['0x1.b080ef1aeb99bp-12', '0x1.ffc9efe21ca29p-1'],
+    ],
+    ('4qam', 3, 5, 10.0): [
+        ['0x1.2b93c5f87d4e0p-1', '0x1.ee25453715458p-12', '0x1.c96b6629e8a00p-18', '0x1.09c0b68151a00p-17', '0x1.5040be1773040p-2', '0x1.8a138d5894a00p-12', '0x1.46d110418117cp-4', '0x1.8061b16ec0c20p-8'],
+        ['0x1.8061b16ec0c20p-8', '0x1.46d110418117cp-4', '0x1.8a138d5894a00p-12', '0x1.5040be1773040p-2', '0x1.09c0b68151a00p-17', '0x1.c96b6629e8a00p-18', '0x1.ee25453715458p-12', '0x1.2b93c5f87d4e0p-1'],
+    ],
+    ('loud', 2, 5, 10.0): [
+        ['0x1.8000c0e4b933fp-1', '0x1.e40616c9e1800p-18', '0x1.fe9f6b651d15bp-3', '0x1.59c8fbd087440p-11'],
+        ['0x1.59c8fbd087440p-11', '0x1.fe9f6b651d15bp-3', '0x1.e40616c9e1800p-18', '0x1.8000c0e4b933fp-1'],
+    ],
+}
+
+
+def _pinned_channel(alphabet, m, span, snr_db):
+    spec = PulseSpec(ROOT_RAISED_COSINE, 0.5, signaling_ratio=1.2,
+                     span_symbols=span, oversampling=m)
+    if alphabet != "loud":
+        return assemble(spec, alphabet, snr_db)
+    base = component_alphabet("4qam")
+    loud = ComponentAlphabet("loud", 1.5 * base.levels, base.priors)
+    return dataclasses.replace(assemble(spec, "4qam", snr_db), alphabet=loud)
+
+
+@pytest.mark.parametrize("cell", list(PINNED_TABLES))
+def test_exact_tables_pinned(cell):
+    table = enumerate_exact(_pinned_channel(*cell))
+    expect = [[float.fromhex(v) for v in row] for row in PINNED_TABLES[cell]]
+    assert table.probs.tolist() == expect
+
+
+def test_window_sets_shared_across_snrs_and_pulses():
+    # The window set depends on the alphabet, L and M alone: two SNRs of
+    # one pulse and a second pulse of the same span share its arrays.
+    channels = [assemble(PulseSpec(family, shape, span_symbols=5,
+                                   oversampling=2), "16qam", snr_db=snr)
+                for family, shape, snr in ((ROOT_RAISED_COSINE, 0.3, 0.0),
+                                           (ROOT_RAISED_COSINE, 0.3, 20.0),
+                                           (GAUSSIAN, 0.5, 10.0))]
+    sets = [transitions._windows(ch) for ch in channels]
+    for other in sets[1:]:
+        assert all(a is b for a, b in zip(sets[0], other))
+    for arr in sets[0]:
+        assert not arr.flags.writeable
+    levels, weights, codes, flipped = sets[0]
+    # Centers in the lower half: 2 of 4 levels, 4^4 neighbor patterns.
+    assert levels.shape == (2 * 4 ** 4, 5)
+    assert weights.sum() == pytest.approx(2.0)
+    assert codes.shape == (levels.shape[0] * 4,)
+    assert flipped.tolist() == [3, 2, 1, 0]
+
+
+def test_scaled_alphabet_gets_its_own_window_set():
+    # The memo keys on levels and priors, never on the alphabet's name.
+    ch = _pinned_channel("4qam", 2, 5, 10.0)
+    loud = _pinned_channel("loud", 2, 5, 10.0)
+    renamed = dataclasses.replace(
+        ch, alphabet=dataclasses.replace(loud.alphabet, name="4qam"))
+    plain, scaled = transitions._windows(ch), transitions._windows(loud)
+    assert plain[0] is not scaled[0]
+    assert np.array_equal(scaled[0], 1.5 * plain[0])
+    assert transitions._windows(renamed) is scaled
+    assert not np.array_equal(enumerate_exact(ch).probs,
+                              enumerate_exact(loud).probs)
+
+
+def test_window_memo_holds_a_bounded_number_of_bytes():
+    memo = transitions._window_memo
+    memo.cache_clear()
+    cap = transitions._WINDOW_SET_BYTES
+    small, large = [], []
+    for name in ("4qam", "16qam"):
+        for m in (1, 2, 4):
+            for span in (1, 3, 5, 7):
+                ch = _delta_channel(name, 0.0, m=m, span=span)
+                arrays = transitions._windows(ch)
+                n, nbytes = len(arrays[1]), sum(a.nbytes for a in arrays)
+                # 8 (L + 2 + 2^M) bytes per window, and the permutation.
+                assert nbytes == 8 * (n * (span + 1 + 2 ** m) + 2 ** m)
+                (small if nbytes <= cap else large).append((ch, arrays))
+    # 23 sets fit, more than the memo holds; 16qam M = 4 span 7 does not.
+    assert len(small) > transitions._WINDOW_SETS and large
+    assert memo.cache_info().currsize == transitions._WINDOW_SETS
+    held = small[-transitions._WINDOW_SETS:]
+    for ch, arrays in held:
+        assert transitions._windows(ch) is arrays
+    assert sum(a.nbytes for _, arrays in held for a in arrays) <= (
+        transitions._WINDOW_SETS * cap)
+    for ch, arrays in large + small[:1]:
+        assert transitions._windows(ch) is not arrays
+    assert memo.cache_info().currsize == transitions._WINDOW_SETS
 
 
 # -- Group 4: Monte Carlo ---------------------------------------------------------------
