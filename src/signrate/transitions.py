@@ -25,8 +25,8 @@ Two estimators produce the table:
 * :func:`enumerate_exact` enumerates all symbol windows and sums their
   Gaussian orthant probabilities, all from one vectorized kernel.  The
   windows, their prior weights and output codes depend only on the
-  alphabet, L and M, and :func:`_windows` keeps them per process, within
-  a memory bound, so an exact table costs its kernel calls and
+  alphabet, L and M, and :func:`_window_chunks` keeps them per process,
+  within a memory bound, so an exact table costs its kernel calls and
   reductions.  A sample whose noise no later sample shares contributes a
   normal CDF factor.  The 2, 3 or 4 correlated samples left take every sign
   pattern by inclusion and exclusion from normal CDFs of their subsets:
@@ -720,16 +720,15 @@ def check_enumerable(ch: DiscreteChannel) -> np.ndarray:
     return chol
 
 
-def _window_set(levels: tuple, priors: tuple, memory: int, m: int) -> tuple:
-    """The part of an exact table that depends only on the alphabet, L
-    and M, as read-only arrays: the levels of every window whose center
-    lies in the lower half of the alphabet (one row per window, in
-    enumeration order), each window's neighbor-prior weight, its flat
-    (center level, pattern) bincount codes, ``2^M`` per window, and the
-    pattern permutation that negates every sample.
-
-    :func:`_windows` keeps up to ``_WINDOW_SETS`` of them, those of at
-    most ``_WINDOW_SET_BYTES`` each.
+def _window_set(levels: tuple, priors: tuple, memory: int, m: int,
+                start: int, stop: int) -> tuple:
+    """Windows ``start`` to ``stop`` of the part of an exact table that
+    depends only on the alphabet, L and M, as read-only arrays: the
+    levels of each window whose center lies in the lower half of the
+    alphabet (one row per window, in enumeration order), its
+    neighbor-prior weight, its flat (center level, pattern) bincount
+    codes, ``2^M`` per window, and the pattern permutation that negates
+    every sample.
     """
     levels, priors = np.array(levels), np.array(priors)
     n_levels = levels.size
@@ -737,7 +736,7 @@ def _window_set(levels: tuple, priors: tuple, memory: int, m: int) -> tuple:
     n_out = 1 << m
     shape = [n_levels] * (memory + 1)
     shape[center_pos] = (n_levels + 1) // 2
-    digits = np.stack(np.unravel_index(np.arange(np.prod(shape)), shape),
+    digits = np.stack(np.unravel_index(np.arange(start, stop), shape),
                       axis=1)
     neighbors = [i for i in range(memory + 1) if i != center_pos]
     arrays = (levels[digits],
@@ -749,29 +748,35 @@ def _window_set(levels: tuple, priors: tuple, memory: int, m: int) -> tuple:
     return arrays
 
 
-# Window sets _windows keeps per process, and the size above which a set
-# is built afresh on every call instead: at most 16 MiB held in all.
+# Window chunks _window_chunks keeps per process, and the size of a whole
+# window set above which its chunks are built afresh on every call
+# instead: at most 16 MiB held in all.
 _WINDOW_SETS = 16
 _WINDOW_SET_BYTES = 1 << 20
 
 _window_memo = functools.lru_cache(maxsize=_WINDOW_SETS)(_window_set)
 
 
-def _windows(ch: DiscreteChannel) -> tuple:
-    """:func:`_window_set` of the channel's alphabet, L and M.
+def _window_chunks(ch: DiscreteChannel):
+    """Yield the channel's window set in chunks of ``_WINDOW_CHUNK``
+    windows, each as :func:`_window_set` builds it.
 
-    The set is keyed on the alphabet's levels and priors, not its name,
-    and is built once per process when its arrays take at most
-    ``_WINDOW_SET_BYTES`` (8 (L + 2 + 2^M) bytes per window); larger sets,
-    whose tables the kernel dominates, are built on every call.
+    Chunks are keyed on the alphabet's levels and priors (never its
+    name), L and M.  When the whole set takes at most ``_WINDOW_SET_BYTES``
+    (8 (L + 2 + 2^M) bytes per window; enum_point's takes 28 kB, one
+    chunk), its chunks come from a memo of ``_WINDOW_SETS`` entries and
+    are built once per process.  A larger set, whose tables the kernel
+    dominates, is built one chunk at a time on every call, so it never
+    exists whole.
     """
     alpha = ch.alphabet
+    key = (tuple(alpha.levels.tolist()), tuple(alpha.priors.tolist()),
+           ch.memory, ch.oversampling)
     n_windows = (alpha.size + 1) // 2 * alpha.size ** ch.memory
-    nbytes = 8 * ((n_windows + 1) * ch.n_outputs
-                  + n_windows * (ch.memory + 2))
+    nbytes = 8 * n_windows * (ch.memory + 2 + ch.n_outputs)
     build = _window_memo if nbytes <= _WINDOW_SET_BYTES else _window_set
-    return build(tuple(alpha.levels.tolist()), tuple(alpha.priors.tolist()),
-                 ch.memory, ch.oversampling)
+    for start in range(0, n_windows, _WINDOW_CHUNK):
+        yield build(*key, start, min(start + _WINDOW_CHUNK, n_windows))
 
 
 def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
@@ -781,11 +786,11 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     refuses a table above ``ENUM_BUDGET`` with
     :class:`BudgetExceededError`, and correlated noise beyond M = 4 with
     :class:`CorrelatedNoiseError`, which asks for the Monte Carlo path
-    instead.  The windows, their prior weights and codes come from
-    :func:`_windows`, which keeps them per (alphabet, L, M) and process
-    within a memory bound, so a table costs its kernel calls and
-    reductions.  Windows go to :func:`orthant_table` in fixed chunks, one
-    call each: normal CDF products where sample noise is uncorrelated, and
+    instead.  The windows, their prior weights and codes come in fixed
+    chunks from :func:`_window_chunks`, which keeps them per (alphabet,
+    L, M) and process within a memory bound, so a table costs its kernel
+    calls and reductions.  Each chunk goes to :func:`orthant_table` in
+    one call: normal CDF products where sample noise is uncorrelated, and
     the subset-CDF kernel for each block of 2, 3 or 4 correlated samples,
     which certifies its own Plackett integrals (three or more samples).
     :class:`QuadratureToleranceError` is raised when the kernel's table and
@@ -797,20 +802,16 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     n_levels = ch.alphabet.size
     n_out = ch.n_outputs
     chol = check_enumerable(ch)
-    levels, weights, codes, flipped = _windows(ch)
 
     probs = np.zeros((n_levels, n_out))
-    for start in range(0, len(weights), _WINDOW_CHUNK):
-        stop = start + _WINDOW_CHUNK
-        table = orthant_table(levels[start:stop] @ ch.A.T, chol)
+    for levels, weights, codes, flipped in _window_chunks(ch):
+        table = orthant_table(levels @ ch.A.T, chol)
         residual = float(np.abs(table.sum(axis=1) - 1.0).max())
         # Written so that a NaN residual fails.
         if not residual <= ENUM_TOL:
             raise QuadratureToleranceError(residual, ENUM_TOL)
-        probs += np.bincount(
-            codes[start * n_out:stop * n_out],
-            weights=(weights[start:stop, None] * table).ravel(),
-            minlength=n_levels * n_out).reshape(probs.shape)
+        probs += np.bincount(codes, weights=(weights[:, None] * table).ravel(),
+                             minlength=n_levels * n_out).reshape(probs.shape)
 
     # Windows with the center in the upper half mirror the lower half.
     for i in range(n_levels // 2):

@@ -357,12 +357,13 @@ def test_window_sets_shared_across_snrs_and_pulses():
                 for family, shape, snr in ((ROOT_RAISED_COSINE, 0.3, 0.0),
                                            (ROOT_RAISED_COSINE, 0.3, 20.0),
                                            (GAUSSIAN, 0.5, 10.0))]
-    sets = [transitions._windows(ch) for ch in channels]
+    sets = [list(transitions._window_chunks(ch)) for ch in channels]
+    assert len(sets[0]) == 1
     for other in sets[1:]:
-        assert all(a is b for a, b in zip(sets[0], other))
-    for arr in sets[0]:
+        assert other[0] is sets[0][0]
+    for arr in sets[0][0]:
         assert not arr.flags.writeable
-    levels, weights, codes, flipped = sets[0]
+    levels, weights, codes, flipped = sets[0][0]
     # Centers in the lower half: 2 of 4 levels, 4^4 neighbor patterns.
     assert levels.shape == (2 * 4 ** 4, 5)
     assert weights.sum() == pytest.approx(2.0)
@@ -376,10 +377,11 @@ def test_scaled_alphabet_gets_its_own_window_set():
     loud = _pinned_channel("loud", 2, 5, 10.0)
     renamed = dataclasses.replace(
         ch, alphabet=dataclasses.replace(loud.alphabet, name="4qam"))
-    plain, scaled = transitions._windows(ch), transitions._windows(loud)
-    assert plain[0] is not scaled[0]
+    [plain], [scaled] = (list(transitions._window_chunks(c))
+                         for c in (ch, loud))
+    assert plain is not scaled
     assert np.array_equal(scaled[0], 1.5 * plain[0])
-    assert transitions._windows(renamed) is scaled
+    assert list(transitions._window_chunks(renamed)) == [scaled]
     assert not np.array_equal(enumerate_exact(ch).probs,
                               enumerate_exact(loud).probs)
 
@@ -393,22 +395,49 @@ def test_window_memo_holds_a_bounded_number_of_bytes():
         for m in (1, 2, 4):
             for span in (1, 3, 5, 7):
                 ch = _delta_channel(name, 0.0, m=m, span=span)
-                arrays = transitions._windows(ch)
-                n, nbytes = len(arrays[1]), sum(a.nbytes for a in arrays)
-                # 8 (L + 2 + 2^M) bytes per window, and the permutation.
-                assert nbytes == 8 * (n * (span + 1 + 2 ** m) + 2 ** m)
-                (small if nbytes <= cap else large).append((ch, arrays))
+                chunks = list(transitions._window_chunks(ch))
+                nbytes = sum(a.nbytes for chunk in chunks for a in chunk)
+                (small if nbytes <= cap else large).append((ch, chunks))
     # 23 sets fit, more than the memo holds; 16qam M = 4 span 7 does not.
     assert len(small) > transitions._WINDOW_SETS and large
     assert memo.cache_info().currsize == transitions._WINDOW_SETS
     held = small[-transitions._WINDOW_SETS:]
-    for ch, arrays in held:
-        assert transitions._windows(ch) is arrays
-    assert sum(a.nbytes for _, arrays in held for a in arrays) <= (
-        transitions._WINDOW_SETS * cap)
-    for ch, arrays in large + small[:1]:
-        assert transitions._windows(ch) is not arrays
+    for ch, chunks in held:
+        assert list(transitions._window_chunks(ch)) == chunks
+    assert sum(a.nbytes for _, chunks in held for chunk in chunks
+               for a in chunk) <= transitions._WINDOW_SETS * cap
+    for ch, chunks in large + small[:1]:
+        again = list(transitions._window_chunks(ch))
+        assert all(a is not b for a, b in zip(again, chunks))
     assert memo.cache_info().currsize == transitions._WINDOW_SETS
+
+
+def test_large_window_set_is_built_one_chunk_at_a_time(monkeypatch):
+    # A window set above the memo's size never exists whole: each build
+    # covers one chunk, the builds tile the set, the memo is untouched,
+    # and the table equals the one from the memoized chunks.
+    monkeypatch.setattr(transitions, "_WINDOW_CHUNK", 100)
+    # 2 of 4 centers times 4^4 neighbor patterns: 512 windows, 6 chunks.
+    ch = _delta_channel("16qam", 10.0, m=1, span=5)
+    memo = transitions._window_memo
+    memo.cache_clear()
+    expect = enumerate_exact(ch).probs
+    assert memo.cache_info().currsize == 6
+    memo.cache_clear()
+
+    real_build = transitions._window_set
+    built = []
+
+    def spy_build(*args):
+        built.append(args[-2:])
+        return real_build(*args)
+
+    monkeypatch.setattr(transitions, "_window_set", spy_build)
+    monkeypatch.setattr(transitions, "_WINDOW_SET_BYTES", 1000)
+    table = enumerate_exact(ch)
+    assert built == [(s, min(s + 100, 512)) for s in range(0, 512, 100)]
+    assert memo.cache_info().currsize == 0
+    assert np.array_equal(table.probs, expect)
 
 
 # -- Group 4: Monte Carlo ---------------------------------------------------------------
