@@ -9,12 +9,14 @@ class RefusalError(RuntimeError):
 
 
 class BudgetExceededError(RefusalError):
-    """Exact enumeration would need more evaluations than the budget allows."""
+    """A computation would need more evaluations, or table entries, than
+    its budget allows; ``what`` and ``unit`` name them in the message."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int, budget: int,
+                 what: str = "exact enumeration", unit: str = "evaluations"):
         self.required = int(required)
         self.budget = int(budget)
-        super().__init__(f"exact enumeration needs {self.required} evaluations, "
+        super().__init__(f"{what} needs {self.required} {unit}, "
                          f"budget is {self.budget}")
 
 

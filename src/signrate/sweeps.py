@@ -30,11 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import assemble
+from .channel import assemble, component_alphabet
 from .config import RunConfig, _CanonicalConfig
 from .errors import GridMismatchError
 from .rates import RateResult, rate_for_config
-from .transitions import check_enumerable
+from .transitions import check_enumerable, check_mc_table
 
 __all__ = [
     "RegionMap",
@@ -290,14 +290,18 @@ def _replace_file(target: Path, text: str, mode) -> None:
         raise
 
 
-def _refuse_infeasible_enum(config: SweepConfig) -> None:
-    """Raise the refusal of the first cell of an enum grid that
-    :func:`enumerate_exact` would refuse, before any cell runs.
+def _refuse_infeasible_cells(config: SweepConfig) -> None:
+    """Raise the refusal of the first cell of a grid that its estimator
+    would refuse, before any cell runs.
 
-    SNR changes neither verdict of :func:`check_enumerable`, so it runs
-    on one assembled channel per distinct (alphabet, M, shape, ratio).
+    Monte Carlo refuses on the table size (:func:`check_mc_table`), from
+    the alphabet and M alone.  SNR changes neither verdict of
+    :func:`check_enumerable`, so an enum grid runs it on one assembled
+    channel per distinct (alphabet, M, shape, ratio).
     """
     if config.estimator != "enum":
+        for name, m in dict.fromkeys(key[:2] for key in config.cell_keys()):
+            check_mc_table(component_alphabet(name).size, m)
         return
     checked = set()
     for key in config.cell_keys():
@@ -324,8 +328,8 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
     every run; the path, a symlink followed, and the file's mode are read
     once per sweep.  A sweep with no cell left to compute rewrites the
     file once.
-    An enum grid with a cell that exact enumeration would refuse raises
-    that cell's refusal before any cell runs or the file is written.
+    A grid with a cell that its estimator would refuse raises that
+    cell's refusal before any cell runs or the file is written.
     ``progress`` is called after every newly computed cell with
     (completed cells, total cells, cell key), and with key ``None`` once
     an existing file is accepted.  An exception, from a cell,
@@ -354,7 +358,7 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
             slots[row.key()] = row.to_csv_line()
         if progress is not None:
             progress(len(previous.rows), total, None)
-    _refuse_infeasible_enum(config)
+    _refuse_infeasible_cells(config)
 
     todo = [key for key, line in slots.items() if line is None]
     done = total - len(todo)

@@ -24,12 +24,12 @@ Two estimators produce the table:
 
 * :func:`enumerate_exact` enumerates all symbol windows and sums their
   Gaussian orthant probabilities, all from one vectorized kernel.  The
-  windows, their prior weights and output codes depend only on the
-  alphabet, L and M, and :func:`_window_chunks` keeps them per process,
-  within a memory bound, so an exact table costs its kernel calls and
-  reductions.  A sample whose noise no later sample shares contributes a
-  normal CDF factor.  The 2, 3 or 4 correlated samples left take every sign
-  pattern by inclusion and exclusion from normal CDFs of their subsets:
+  windows and their prior weights depend only on the alphabet and L, and
+  :func:`_window_set` keeps the last chunk of them it built, so cells
+  that share them back to back build them once.  A sample whose noise no
+  later sample shares contributes a normal CDF factor.  The 2, 3 or 4
+  correlated samples left take every sign pattern by inclusion and
+  exclusion from normal CDFs of their subsets:
   Phi from Cephes' rational approximations, Genz's fixed-node form for
   pairs, so M <= 2 and diagonal noise need no adaptive quadrature, and
   Plackett's identity, one smooth integral each on a fixed
@@ -45,7 +45,8 @@ Two estimators produce the table:
 Both estimators exploit the sign symmetry of the model: negating the
 symbol window flips every output bit, so tables satisfy
 ``probs[x, y] == probs[-x, flip(y)]``.  The exact path enforces this
-bitwise by computing only half the input rows and mirroring.
+bitwise by computing only half the input rows and mirroring; the middle
+(zero) level of an odd alphabet is its own mirror.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ N_GROUPS = 10
 
 # Cap on enumerated (window, output) pairs.
 ENUM_BUDGET = 1 << 26
+
+# Cap on the |X| 2^M entries of a Monte Carlo table: a call holds
+# N_GROUPS + 1 integer tables of that size and float copies of them.
+MC_TABLE_BUDGET = 1 << 16
 
 # Largest quadrature deviation an exact table may carry.
 ENUM_TOL = 1e-6
@@ -155,6 +160,16 @@ def check_samples(samples: int) -> None:
     """Refuse a sample budget outside [1, 2^63): counts are int64."""
     if not 1 <= samples < 1 << 63:
         raise ValueError(f"samples must lie in [1, 2^63), got {samples}")
+
+
+def check_mc_table(n_levels: int, oversampling: int) -> None:
+    """Refuse, with :class:`BudgetExceededError`, a Monte Carlo table of
+    ``n_levels`` inputs and 2^``oversampling`` outputs whose entries
+    exceed ``MC_TABLE_BUDGET``."""
+    required = n_levels << oversampling
+    if required > MC_TABLE_BUDGET:
+        raise BudgetExceededError(required, MC_TABLE_BUDGET,
+                                  "a Monte Carlo table", "entries")
 
 
 def _level_cdf(priors: np.ndarray) -> np.ndarray:
@@ -249,8 +264,11 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
     at a time, are the only parallelism.  A chunk walks its intervals in
     fixed blocks through one set of block-sized buffers per thread, and
     its counts equal those of an unblocked pass over the same stream.
+    A table of more than ``MC_TABLE_BUDGET`` entries is refused with
+    :class:`BudgetExceededError` before anything is allocated.
     """
     check_samples(samples)
+    check_mc_table(ch.alphabet.size, ch.oversampling)
     if workers < 1:
         raise ValueError("worker count must be positive")
     chol = component_cholesky(ch)
@@ -720,63 +738,48 @@ def check_enumerable(ch: DiscreteChannel) -> np.ndarray:
     return chol
 
 
-def _window_set(levels: tuple, priors: tuple, memory: int, m: int,
-                start: int, stop: int) -> tuple:
+@functools.lru_cache(maxsize=1)
+def _window_set(levels: tuple, priors: tuple, memory: int, start: int,
+                stop: int) -> tuple:
     """Windows ``start`` to ``stop`` of the part of an exact table that
-    depends only on the alphabet, L and M, as read-only arrays: the
-    levels of each window whose center lies in the lower half of the
-    alphabet (one row per window, in enumeration order), its
-    neighbor-prior weight, its flat (center level, pattern) bincount
-    codes, ``2^M`` per window, and the pattern permutation that negates
-    every sample.
+    depends only on the alphabet and L, as read-only arrays: the levels of
+    each window whose center lies in the lower half of the alphabet (one
+    row per window, in enumeration order), its neighbor-prior weight and
+    its center's level index.
+
+    The memo keeps the last chunk built, 8 (L + 3) bytes per window of at
+    most ``_WINDOW_CHUNK`` windows: 5.7 MB for the largest set within
+    ``ENUM_BUDGET`` (4qam, L = 24).  Cells that share a set reach it back
+    to back (a rate point repeats one; a sweep runs its cells
+    alphabet-outermost), so one entry serves them, whatever their M.
     """
     levels, priors = np.array(levels), np.array(priors)
     n_levels = levels.size
     center_pos = memory // 2
-    n_out = 1 << m
     shape = [n_levels] * (memory + 1)
     shape[center_pos] = (n_levels + 1) // 2
     digits = np.stack(np.unravel_index(np.arange(start, stop), shape),
                       axis=1)
     neighbors = [i for i in range(memory + 1) if i != center_pos]
+    # The centers are copied out, so the memo holds no view of digits.
     arrays = (levels[digits],
               np.prod(priors[digits[:, neighbors]], axis=1),
-              (digits[:, center_pos, None] * n_out + np.arange(n_out)).ravel(),
-              flip_index(np.arange(n_out), m))
+              digits[:, center_pos].copy())
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
 
 
-# Window chunks _window_chunks keeps per process, and the size of a whole
-# window set above which its chunks are built afresh on every call
-# instead: at most 16 MiB held in all.
-_WINDOW_SETS = 16
-_WINDOW_SET_BYTES = 1 << 20
-
-_window_memo = functools.lru_cache(maxsize=_WINDOW_SETS)(_window_set)
-
-
 def _window_chunks(ch: DiscreteChannel):
     """Yield the channel's window set in chunks of ``_WINDOW_CHUNK``
-    windows, each as :func:`_window_set` builds it.
-
-    Chunks are keyed on the alphabet's levels and priors (never its
-    name), L and M.  When the whole set takes at most ``_WINDOW_SET_BYTES``
-    (8 (L + 2 + 2^M) bytes per window; enum_point's takes 28 kB, one
-    chunk), its chunks come from a memo of ``_WINDOW_SETS`` entries and
-    are built once per process.  A larger set, whose tables the kernel
-    dominates, is built one chunk at a time on every call, so it never
-    exists whole.
-    """
+    windows, each as :func:`_window_set` builds it, keyed on the
+    alphabet's levels and priors (never its name) and L."""
     alpha = ch.alphabet
     key = (tuple(alpha.levels.tolist()), tuple(alpha.priors.tolist()),
-           ch.memory, ch.oversampling)
+           ch.memory)
     n_windows = (alpha.size + 1) // 2 * alpha.size ** ch.memory
-    nbytes = 8 * n_windows * (ch.memory + 2 + ch.n_outputs)
-    build = _window_memo if nbytes <= _WINDOW_SET_BYTES else _window_set
     for start in range(0, n_windows, _WINDOW_CHUNK):
-        yield build(*key, start, min(start + _WINDOW_CHUNK, n_windows))
+        yield _window_set(*key, start, min(start + _WINDOW_CHUNK, n_windows))
 
 
 def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
@@ -786,36 +789,45 @@ def enumerate_exact(ch: DiscreteChannel) -> TransitionTable:
     refuses a table above ``ENUM_BUDGET`` with
     :class:`BudgetExceededError`, and correlated noise beyond M = 4 with
     :class:`CorrelatedNoiseError`, which asks for the Monte Carlo path
-    instead.  The windows, their prior weights and codes come in fixed
-    chunks from :func:`_window_chunks`, which keeps them per (alphabet,
-    L, M) and process within a memory bound, so a table costs its kernel
-    calls and reductions.  Each chunk goes to :func:`orthant_table` in
-    one call: normal CDF products where sample noise is uncorrelated, and
-    the subset-CDF kernel for each block of 2, 3 or 4 correlated samples,
-    which certifies its own Plackett integrals (three or more samples).
+    instead.  The windows and their prior weights come in fixed chunks
+    from :func:`_window_chunks`, whose memo keeps the last chunk built.
+    Each chunk goes to :func:`orthant_table` in one call: normal CDF
+    products where sample noise is uncorrelated, and the subset-CDF
+    kernel for each block of 2, 3 or 4 correlated samples, which
+    certifies its own Plackett integrals (three or more samples).
     :class:`QuadratureToleranceError` is raised when the kernel's table and
     its embedded check on the same nodes, or a window's probabilities and
     a sum of one, differ by more than ``ENUM_TOL``.  Rows come out bitwise
     sign-symmetric because the upper half is a mirrored copy of the lower
-    half.
+    half, and the middle (zero) level's row of an odd alphabet the mean
+    of itself and its flip.
     """
     n_levels = ch.alphabet.size
     n_out = ch.n_outputs
     chol = check_enumerable(ch)
 
+    patterns = np.arange(n_out)
     probs = np.zeros((n_levels, n_out))
-    for levels, weights, codes, flipped in _window_chunks(ch):
+    for levels, weights, centers in _window_chunks(ch):
         table = orthant_table(levels @ ch.A.T, chol)
         residual = float(np.abs(table.sum(axis=1) - 1.0).max())
         # Written so that a NaN residual fails.
         if not residual <= ENUM_TOL:
             raise QuadratureToleranceError(residual, ENUM_TOL)
+        # Flat (center level, pattern) codes of the chunk's table entries.
+        codes = (centers[:, None] * n_out + patterns).ravel()
         probs += np.bincount(codes, weights=(weights[:, None] * table).ravel(),
                              minlength=n_levels * n_out).reshape(probs.shape)
 
-    # Windows with the center in the upper half mirror the lower half.
+    # Windows with the center in the upper half mirror the lower half; the
+    # middle level of an odd alphabet is its own mirror, so its row is
+    # averaged with its flip, which addition keeps bitwise symmetric.
+    flipped = flip_index(patterns, ch.oversampling)
     for i in range(n_levels // 2):
         probs[n_levels - 1 - i] = probs[i][flipped]
+    if n_levels % 2:
+        middle = probs[n_levels // 2]
+        middle[:] = 0.5 * (middle + middle[flipped])
 
     row_error = float(np.abs(probs.sum(axis=1) - 1.0).max())
     if not row_error <= 1e-9:

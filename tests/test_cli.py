@@ -263,6 +263,21 @@ def test_rate_refusal_is_machine_readable(capsys):
     assert "message" in payload["error"]
 
 
+def test_rate_refuses_oversized_mc_table(capsys):
+    # A 4qam table at M = 20 used to allocate hundreds of MB; it is
+    # refused before any table exists.
+    code, stdout, _ = _run(capsys, [
+        "rate", "--family", "rrc", "--shape", "0.5", "--span", "1",
+        "--oversampling", "20", "--alphabet", "4qam", "--snr-db", "10",
+        "--estimator", "mc", "--samples", "10"])
+    assert code == 3
+    payload = json.loads(stdout)["error"]
+    assert payload["type"] == "BudgetExceededError"
+    assert payload["required"] == 2 << 20
+    assert payload["budget"] == 1 << 16
+    assert "Monte Carlo" in payload["message"]
+
+
 def test_out_flag_beats_config_out(tmp_path, capsys):
     # An "out" key in the configuration file used to reach the config
     # constructor, and exit 2 as an unknown key, whenever --out was given.
@@ -473,6 +488,9 @@ def test_sample_budget_beyond_int64_exits_2(tmp_path, capsys, monkeypatch,
     ({"span_symbols": 13},
      {"type": "BudgetExceededError", "required": 4 ** 13 * 2,
       "budget": 1 << 26}),
+    ({"estimator": "mc", "oversampling": [2, 15]},
+     {"type": "BudgetExceededError", "required": 4 << 15,
+      "budget": 1 << 16}),
 ])
 def test_sweep_refuses_infeasible_enum_grid_up_front(tmp_path, capsys,
                                                      overrides, refusal):

@@ -41,6 +41,7 @@ from signrate.transitions import (
     _BLOCK_SAMPLES,
     CHUNK_SAMPLES,
     ENUM_BUDGET,
+    MC_TABLE_BUDGET,
     TransitionTable,
     _ndtr,
     _phi2,
@@ -247,10 +248,18 @@ def test_bivariate_orthants_match_mvn_cdf(rho):
 
 # -- Group 3: invariants and refusals ---------------------------------------------------
 
-@pytest.mark.parametrize("name", ["4qam", "16qam"])
+@pytest.mark.parametrize("name", ["4qam", "16qam", "3-level"])
 def test_exact_table_sign_symmetry_is_bitwise(name):
+    # The 3-level alphabet is in no registry; its middle (zero) level is
+    # its own mirror.
     spec = PulseSpec(ROOT_RAISED_COSINE, 0.3, span_symbols=5, oversampling=2)
-    ch = assemble(spec, name, snr_db=8.0)
+    if name == "3-level":
+        three = ComponentAlphabet(name, np.array([-1.0, 0.0, 1.0]),
+                                  np.array([0.25, 0.5, 0.25]))
+        ch = dataclasses.replace(assemble(spec, "4qam", snr_db=8.0),
+                                 alphabet=three)
+    else:
+        ch = assemble(spec, name, snr_db=8.0)
     table = enumerate_exact(ch)
     flipped = flip_index(np.arange(table.n_outputs), ch.oversampling)
     assert np.array_equal(table.probs, table.probs[::-1][:, flipped])
@@ -350,25 +359,29 @@ def test_exact_tables_pinned(cell):
 
 
 def test_window_sets_shared_across_snrs_and_pulses():
-    # The window set depends on the alphabet, L and M alone: two SNRs of
-    # one pulse and a second pulse of the same span share its arrays.
+    # The window set depends on the alphabet and L alone: two SNRs of one
+    # pulse, a second pulse of the same span and another M share its
+    # arrays.
     channels = [assemble(PulseSpec(family, shape, span_symbols=5,
-                                   oversampling=2), "16qam", snr_db=snr)
-                for family, shape, snr in ((ROOT_RAISED_COSINE, 0.3, 0.0),
-                                           (ROOT_RAISED_COSINE, 0.3, 20.0),
-                                           (GAUSSIAN, 0.5, 10.0))]
+                                   oversampling=m), "16qam", snr_db=snr)
+                for family, shape, m, snr in (
+                    (ROOT_RAISED_COSINE, 0.3, 2, 0.0),
+                    (ROOT_RAISED_COSINE, 0.3, 2, 20.0),
+                    (GAUSSIAN, 0.5, 2, 10.0),
+                    (ROOT_RAISED_COSINE, 0.3, 1, 10.0))]
     sets = [list(transitions._window_chunks(ch)) for ch in channels]
     assert len(sets[0]) == 1
     for other in sets[1:]:
         assert other[0] is sets[0][0]
     for arr in sets[0][0]:
         assert not arr.flags.writeable
-    levels, weights, codes, flipped = sets[0][0]
+    levels, weights, centers = sets[0][0]
     # Centers in the lower half: 2 of 4 levels, 4^4 neighbor patterns.
     assert levels.shape == (2 * 4 ** 4, 5)
     assert weights.sum() == pytest.approx(2.0)
-    assert codes.shape == (levels.shape[0] * 4,)
-    assert flipped.tolist() == [3, 2, 1, 0]
+    assert np.bincount(centers).tolist() == [4 ** 4, 4 ** 4]
+    # The centers are their own array, not a view of the digit matrix.
+    assert centers.base is None
 
 
 def test_scaled_alphabet_gets_its_own_window_set():
@@ -387,56 +400,44 @@ def test_scaled_alphabet_gets_its_own_window_set():
 
 
 def test_window_memo_holds_a_bounded_number_of_bytes():
-    memo = transitions._window_memo
+    # The memo keeps the last chunk it built, whatever tables ran before:
+    # 8 (L + 3) bytes per window of at most one chunk.
+    memo = transitions._window_set
     memo.cache_clear()
-    cap = transitions._WINDOW_SET_BYTES
-    small, large = [], []
     for name in ("4qam", "16qam"):
         for m in (1, 2, 4):
-            for span in (1, 3, 5, 7):
+            for span in (1, 3, 5, 7, 9):
                 ch = _delta_channel(name, 0.0, m=m, span=span)
-                chunks = list(transitions._window_chunks(ch))
-                nbytes = sum(a.nbytes for chunk in chunks for a in chunk)
-                (small if nbytes <= cap else large).append((ch, chunks))
-    # 23 sets fit, more than the memo holds; 16qam M = 4 span 7 does not.
-    assert len(small) > transitions._WINDOW_SETS and large
-    assert memo.cache_info().currsize == transitions._WINDOW_SETS
-    held = small[-transitions._WINDOW_SETS:]
-    for ch, chunks in held:
-        assert list(transitions._window_chunks(ch)) == chunks
-    assert sum(a.nbytes for _, chunks in held for chunk in chunks
-               for a in chunk) <= transitions._WINDOW_SETS * cap
-    for ch, chunks in large + small[:1]:
-        again = list(transitions._window_chunks(ch))
-        assert all(a is not b for a, b in zip(again, chunks))
-    assert memo.cache_info().currsize == transitions._WINDOW_SETS
+                enumerate_exact(ch)
+                assert memo.cache_info().currsize == 1
+                last = list(transitions._window_chunks(ch))[-1]
+                assert sum(a.nbytes for a in last) <= (
+                    8 * (ch.memory + 3) * transitions._WINDOW_CHUNK)
+    # 16qam span 9 holds 2 * 4^8 windows, more than one chunk.
+    assert 2 * 4 ** 8 > transitions._WINDOW_CHUNK
 
 
 def test_large_window_set_is_built_one_chunk_at_a_time(monkeypatch):
-    # A window set above the memo's size never exists whole: each build
-    # covers one chunk, the builds tile the set, the memo is untouched,
-    # and the table equals the one from the memoized chunks.
+    # A window set of several chunks never exists whole: each build
+    # covers one chunk, the builds tile the set, the memo keeps only the
+    # last, and the table equals the one from the memoized chunks.
     monkeypatch.setattr(transitions, "_WINDOW_CHUNK", 100)
     # 2 of 4 centers times 4^4 neighbor patterns: 512 windows, 6 chunks.
     ch = _delta_channel("16qam", 10.0, m=1, span=5)
-    memo = transitions._window_memo
+    memo = transitions._window_set
     memo.cache_clear()
     expect = enumerate_exact(ch).probs
-    assert memo.cache_info().currsize == 6
-    memo.cache_clear()
 
-    real_build = transitions._window_set
     built = []
 
     def spy_build(*args):
         built.append(args[-2:])
-        return real_build(*args)
+        return memo(*args)
 
     monkeypatch.setattr(transitions, "_window_set", spy_build)
-    monkeypatch.setattr(transitions, "_WINDOW_SET_BYTES", 1000)
     table = enumerate_exact(ch)
     assert built == [(s, min(s + 100, 512)) for s in range(0, 512, 100)]
-    assert memo.cache_info().currsize == 0
+    assert memo.cache_info().currsize == 1
     assert np.array_equal(table.probs, expect)
 
 
@@ -580,6 +581,20 @@ def test_mc_rejects_bad_arguments():
     # Counts are int64; no chunk may run with such a budget.
     with pytest.raises(ValueError, match="2\\^63"):
         mc_estimate(ch, samples=1 << 63, seed=1)
+
+
+def test_mc_refuses_oversized_table():
+    # |X| 2^M table entries above the budget are refused before anything
+    # is allocated; 16qam's 4 component levels reach it at M = 14.
+    edge = mc_estimate(_delta_channel("16qam", 5.0, m=14, span=1),
+                       samples=10, seed=1)
+    assert edge.probs.shape == (4, 1 << 14)
+    with pytest.raises(BudgetExceededError) as info:
+        mc_estimate(_delta_channel("16qam", 5.0, m=15, span=1),
+                    samples=10, seed=1)
+    assert info.value.required == 4 << 15
+    assert info.value.budget == MC_TABLE_BUDGET
+    assert "exact enumeration" not in str(info.value)
 
 
 # -- Group 5: utilities -------------------------------------------------------------------
