@@ -137,7 +137,7 @@ def component_alphabet(name: str) -> ComponentAlphabet:
     """Look up a built-in component alphabet by constellation name."""
     try:
         return _ALPHABETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name JSON made a list
         known = ", ".join(sorted(_ALPHABETS))
         raise ValueError(f"unknown alphabet {name!r} (known: {known})") from None
 

@@ -35,24 +35,9 @@ from .sweeps import (
     write_region_csv,
 )
 
-_PULSE_FLAGS = (
-    ("family", "family"),
-    ("shape", "shape"),
-    ("ratio", "signaling_ratio"),
-    ("span", "span_symbols"),
-    ("oversampling", "oversampling"),
-)
-
-_ESTIMATOR_FLAGS = (
-    ("estimator", "estimator"),
-    ("samples", "samples"),
-    ("seed", "seed"),
-)
-
-_RATE_FLAGS = _PULSE_FLAGS + (
-    ("alphabet", "alphabet"),
-    ("snr_db", "snr_db"),
-) + _ESTIMATOR_FLAGS
+# Flags that configure the command rather than the computation; every
+# other flag is named after its configuration key.
+_COMMAND_FLAGS = ("command", "handler", "config", "out", "workers")
 
 
 def _load_config_file(path) -> dict:
@@ -64,10 +49,9 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _merge_flags(data: dict, args, pairs) -> dict:
-    for flag, key in pairs:
-        value = getattr(args, flag)
-        if value is not None:
+def _merge_flags(data: dict, args) -> dict:
+    for key, value in vars(args).items():
+        if value is not None and key not in _COMMAND_FLAGS:
             data[key] = value
     return data
 
@@ -106,10 +90,12 @@ def _add_pulse_flags(parser):
                         help="pulse family")
     parser.add_argument("--shape", type=float,
                         help="roll-off (rrc) or 3 dB bandwidth (gaussian)")
-    parser.add_argument("--ratio", type=float,
+    parser.add_argument("--ratio", dest="signaling_ratio", type=float,
+                        metavar="RATIO",
                         help="signaling ratio, pulse interval over symbol "
                              "interval (default 1)")
-    parser.add_argument("--span", type=int,
+    parser.add_argument("--span", dest="span_symbols", type=int,
+                        metavar="SPAN",
                         help="pulse span in symbol intervals (default 9)")
     parser.add_argument("--oversampling", type=int,
                         help="samples per symbol interval")
@@ -139,7 +125,8 @@ def _parser() -> argparse.ArgumentParser:
                       help="Monte Carlo sample budget")
     rate.add_argument("--seed", type=int, help="top-level seed")
     rate.add_argument("--workers", type=_positive_int, default=1,
-                      help="parallel simulation workers (default 1)")
+                      help="Monte Carlo simulation workers; exact tables run "
+                           "on one core (default 1)")
     rate.add_argument("--out", type=Path,
                       help="also write the JSON to this path")
     rate.set_defaults(handler=_cmd_rate)
@@ -171,7 +158,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_taps(args) -> int:
-    data = _merge_flags(_load_config_file(args.config), args, _PULSE_FLAGS)
+    data = _merge_flags(_load_config_file(args.config), args)
     out = _resolve_out(args, data, required=True)
     try:
         spec = PulseSpec(**data)
@@ -195,13 +182,10 @@ def _cmd_taps(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    data = _merge_flags(_load_config_file(args.config), args, _RATE_FLAGS)
+    data = _merge_flags(_load_config_file(args.config), args)
     out = _resolve_out(args, data, required=False)
     data.setdefault("signaling_ratio", 1.0)
-    try:
-        config = RunConfig.from_dict(data)
-    except TypeError as err:
-        raise ValueError(f"incomplete configuration: {err}") from None
+    config = RunConfig.from_dict(data)
     result = rate_for_config(config, workers=args.workers)
     text = json.dumps(result.to_json_dict(), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
@@ -212,13 +196,9 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data = _merge_flags(_load_config_file(args.config), args,
-                        _ESTIMATOR_FLAGS)
+    data = _merge_flags(_load_config_file(args.config), args)
     out = _resolve_out(args, data, required=True)
-    try:
-        grid = SweepConfig.from_dict(data)
-    except TypeError as err:
-        raise ValueError(f"incomplete grid description: {err}") from None
+    grid = SweepConfig.from_dict(data)
 
     def progress(done, total, key):
         print(f"[{done}/{total}] {key}" if key is not None else

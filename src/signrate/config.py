@@ -44,10 +44,14 @@ class _CanonicalConfig:
 
     @classmethod
     def from_dict(cls, data: dict):
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
+        fields = dataclasses.fields(cls)
+        unknown = set(data) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+        missing = [f.name for f in fields if f.name not in data
+                   and f.default is dataclasses.MISSING]
+        if missing:
+            raise ValueError(f"missing configuration keys: {sorted(missing)}")
         return cls(**data)
 
     def to_dict(self) -> dict:

@@ -20,11 +20,11 @@ import dataclasses
 
 import numpy as np
 
-from .channel import DiscreteChannel, assemble
+from .channel import DiscreteChannel, assemble, component_alphabet
 from .config import RunConfig
 from .errors import BudgetExceededError, CorrelatedNoiseError
-from .transitions import (TransitionTable, enumerate_exact, mc_estimate,
-                          orthant_table)
+from .transitions import (TransitionTable, check_enumerable, check_mc_table,
+                          enumerate_exact, mc_estimate, orthant_table)
 
 __all__ = [
     "BoundReport",
@@ -123,8 +123,25 @@ def rate_from_table(table: TransitionTable, config: RunConfig,
                       method=table.method, samples=table.samples)
 
 
+def check_config(config: RunConfig) -> None:
+    """Raise the refusal :func:`rate_for_config` would raise for
+    ``config``, before any table work: :func:`check_enumerable` of its
+    channel for the exact estimator, :func:`check_mc_table` of its
+    alphabet size and M for Monte Carlo.  No verdict depends on SNR."""
+    if config.estimator == "enum":
+        check_enumerable(
+            assemble(config.pulse_spec(), config.alphabet, config.snr_db))
+    else:
+        check_mc_table(component_alphabet(config.alphabet).size,
+                       config.oversampling)
+
+
 def rate_for_config(config: RunConfig, *, workers: int = 1) -> RateResult:
-    """Evaluate one configuration end to end."""
+    """Evaluate one configuration end to end.
+
+    ``workers`` threads run the Monte Carlo chunks; an exact table runs
+    in the calling thread whatever ``workers`` says.
+    """
     ch = assemble(config.pulse_spec(), config.alphabet, config.snr_db)
     if config.estimator == "enum":
         table = enumerate_exact(ch)

@@ -25,16 +25,14 @@ import json
 import math
 import os
 import stat
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .channel import assemble, component_alphabet
 from .config import RunConfig, _CanonicalConfig
 from .errors import GridMismatchError
-from .rates import RateResult, rate_for_config
-from .transitions import check_enumerable, check_mc_table
+from .rates import RateResult, check_config, rate_for_config
+from .transitions import in_order
 
 __all__ = [
     "RegionMap",
@@ -290,28 +288,6 @@ def _replace_file(target: Path, text: str, mode) -> None:
         raise
 
 
-def _refuse_infeasible_cells(config: SweepConfig) -> None:
-    """Raise the refusal of the first cell of a grid that its estimator
-    would refuse, before any cell runs.
-
-    Monte Carlo refuses on the table size (:func:`check_mc_table`), from
-    the alphabet and M alone.  SNR changes neither verdict of
-    :func:`check_enumerable`, so an enum grid runs it on one assembled
-    channel per distinct (alphabet, M, shape, ratio).
-    """
-    if config.estimator != "enum":
-        for name, m in dict.fromkeys(key[:2] for key in config.cell_keys()):
-            check_mc_table(component_alphabet(name).size, m)
-        return
-    checked = set()
-    for key in config.cell_keys():
-        if key[:4] not in checked:
-            checked.add(key[:4])
-            cell = config.cell(key)
-            check_enumerable(
-                assemble(cell.pulse_spec(), cell.alphabet, cell.snr_db))
-
-
 def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
               progress=None) -> SweepResult:
     """Evaluate a grid, resuming from ``out_path`` when it already exists.
@@ -358,7 +334,10 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
             slots[row.key()] = row.to_csv_line()
         if progress is not None:
             progress(len(previous.rows), total, None)
-    _refuse_infeasible_cells(config)
+    # No refusal depends on SNR: one cell per (alphabet, M, shape, ratio)
+    # speaks for the grid.
+    for key in dict.fromkeys(key[:4] for key in config.cell_keys()):
+        check_config(config.cell(key + config.snr_db[:1]))
 
     todo = [key for key, line in slots.items() if line is None]
     done = total - len(todo)
@@ -368,11 +347,7 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
                       sweep_csv_text(config, filter(None, slots.values())),
                       mode)
 
-    # The pool starts no thread until used, so one worker stays serial.
-    pool = ThreadPoolExecutor(max_workers=workers)
-    mapper = map if workers == 1 else pool.map
-    try:
-        cells = mapper(rate_for_config, map(config.cell, todo))
+    with in_order(rate_for_config, map(config.cell, todo), workers) as cells:
         # Results are recorded, and the file rewritten, in the calling
         # thread only.
         for key, res in zip(todo, cells):
@@ -381,8 +356,6 @@ def run_sweep(config: SweepConfig, out_path, *, workers: int = 1,
             flush()
             if progress is not None:
                 progress(done, total, key)
-    finally:
-        pool.shutdown(cancel_futures=True)
     # The last cell's rewrite wrote the final text; a sweep with nothing
     # left to compute rewrites its file once.
     if not todo:

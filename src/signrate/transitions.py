@@ -25,11 +25,12 @@ Two estimators produce the table:
 * :func:`enumerate_exact` enumerates all symbol windows and sums their
   Gaussian orthant probabilities, all from one vectorized kernel.  The
   windows and their prior weights depend only on the alphabet and L, and
-  :func:`_window_set` keeps the last chunk of them it built, so cells
-  that share them back to back build them once.  A sample whose noise no
-  later sample shares contributes a normal CDF factor.  The 2, 3 or 4
-  correlated samples left take every sign pattern by inclusion and
-  exclusion from normal CDFs of their subsets:
+  :func:`_window_set` keeps the last chunk of them it built: cells that
+  share a set of one chunk (4qam up to span 15, 16qam up to span 7) back
+  to back build it once, and a larger set is built anew on every cell.
+  A sample whose noise no later sample shares contributes a normal CDF
+  factor.  The 2, 3 or 4 correlated samples left take every sign pattern
+  by inclusion and exclusion from normal CDFs of their subsets:
   Phi from Cephes' rational approximations, Genz's fixed-node form for
   pairs, so M <= 2 and diagonal noise need no adaptive quadrature, and
   Plackett's identity, one smooth integral each on a fixed
@@ -52,6 +53,7 @@ bitwise by computing only half the input rows and mirroring; the middle
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import functools
 import threading
@@ -252,6 +254,22 @@ def _chunk_counts(ch: DiscreteChannel, chol: np.ndarray, cdf: np.ndarray,
     return counts.reshape(ch.alphabet.size, ch.n_outputs)
 
 
+@contextlib.contextmanager
+def in_order(fn, items, workers: int):
+    """Yield ``fn`` mapped over ``items``, results in order: lazily in the
+    calling thread at one worker, else on a pool of ``workers`` threads.
+    Leaving the block, by an exception too, cancels the calls still
+    queued and waits for the running ones."""
+    if workers == 1:
+        yield map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
                 workers: int = 1) -> TransitionTable:
     """Estimate the transition table from ``samples`` simulated intervals.
@@ -288,10 +306,8 @@ def mc_estimate(ch: DiscreteChannel, samples: int, seed: int, *,
             local.buffers = _block_buffers(ch)
         return _chunk_counts(ch, chol, cdf, sizes[i], seed, i, local.buffers)
 
-    # The pool starts no thread until used, so one worker stays serial.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        mapper = map if workers == 1 else pool.map
-        for i, counts in enumerate(mapper(run, range(len(sizes)))):
+    with in_order(run, range(len(sizes)), workers) as chunks:
+        for i, counts in enumerate(chunks):
             pooled += counts
             groups[i % N_GROUPS] += counts
 
@@ -749,9 +765,12 @@ def _window_set(levels: tuple, priors: tuple, memory: int, start: int,
 
     The memo keeps the last chunk built, 8 (L + 3) bytes per window of at
     most ``_WINDOW_CHUNK`` windows: 5.7 MB for the largest set within
-    ``ENUM_BUDGET`` (4qam, L = 24).  Cells that share a set reach it back
-    to back (a rate point repeats one; a sweep runs its cells
-    alphabet-outermost), so one entry serves them, whatever their M.
+    ``ENUM_BUDGET`` (4qam, L = 24).  Cells that share a set of one chunk
+    (4qam up to L = 14, 16qam up to L = 6) reach it back to back (a rate
+    point repeats one; a sweep runs its cells alphabet-outermost), so one
+    entry serves them, whatever their M.  A set of more chunks is built
+    anew on every cell, and the chunk it leaves behind serves no later
+    cell.
     """
     levels, priors = np.array(levels), np.array(priors)
     n_levels = levels.size

@@ -239,6 +239,38 @@ def test_rate_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown configuration keys" in stderr
 
 
+@pytest.mark.parametrize("command, key", [("rate", "snr_db"),
+                                          ("sweep", "alphabets")])
+def test_missing_config_key_exits_2_naming_it(tmp_path, capsys, command,
+                                              key):
+    cfg = tmp_path / "config.json"
+    if command == "rate":
+        data = {"family": "rrc", "shape": 0.22, "oversampling": 1,
+                "alphabet": "4qam", "snr_db": 5.0, "estimator": "enum"}
+    else:
+        data = _write_grid(cfg)
+    del data[key]
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(capsys, [command, "--config", str(cfg),
+                                         "--out", str(out)])
+    assert code == 2
+    assert f"missing configuration keys: ['{key}']" in stderr
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["taps", "rate", "sweep"])
+def test_config_file_that_is_no_object_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1, 2]")
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(capsys, [command, "--config", str(cfg),
+                                         "--out", str(out)])
+    assert code == 2
+    assert "configuration must be a JSON object" in stderr
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("oversampling, code", [(2.0, 0), (2.5, 2)])
 def test_rate_config_float_oversampling(tmp_path, capsys, oversampling, code):
     cfg = tmp_path / "point.json"
@@ -445,6 +477,8 @@ def test_nan_deviation_refusal_is_strict_json(capsys, monkeypatch):
     ({"snr_db": 25}, "axis 'snr_db' must be a list of values, got 25"),
     ({"alphabets": "4qam"},
      "axis 'alphabets' must be a list of values, got '4qam'"),
+    # An alphabet that is no string used to escape as a TypeError.
+    ({"alphabets": [["4qam"]]}, "unknown alphabet ['4qam']"),
 ])
 def test_sweep_refuses_invalid_axis_value(tmp_path, capsys, overrides,
                                           message):
@@ -725,7 +759,8 @@ def test_sweep_file_of_unknown_schema_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--snr-db", "nan", "--oversampling", "1"],
     ["--snr-db=inf", "--oversampling", "1"],
-    ["--snr-db", "5", "--oversampling", "0"]])
+    ["--snr-db", "5", "--oversampling", "0"],
+    ["--snr-db", "abc", "--oversampling", "1"]])
 def test_regions_bad_slice_flags_exit_2(tmp_path, capsys, flags):
     # These used to read as a file fault: exit 4, "not part of the grid".
     cfg_path = tmp_path / "grid.json"
@@ -738,6 +773,21 @@ def test_regions_bad_slice_flags_exit_2(tmp_path, capsys, flags):
         main(["regions", str(sweep_out), *flags, "--out", str(region_out)])
     assert info.value.code == 2
     assert "must be a" in capsys.readouterr().err
+    assert not region_out.exists()
+
+
+def test_regions_of_three_files_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "grid.json"
+    _write_grid(cfg_path)
+    sweep_out = tmp_path / "grid.csv"
+    assert _run(capsys, ["sweep", "--config", str(cfg_path),
+                         "--out", str(sweep_out)])[0] == 0
+    region_out = tmp_path / "regions.csv"
+    code, _, stderr = _run(capsys, [
+        "regions", *[str(sweep_out)] * 3, "--snr-db", "5",
+        "--oversampling", "1", "--out", str(region_out)])
+    assert code == 2
+    assert "regions takes one or two sweep files" in stderr
     assert not region_out.exists()
 
 

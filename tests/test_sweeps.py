@@ -340,12 +340,16 @@ def test_stopped_sweep_cancels_queued_cells(tmp_path, monkeypatch, workers,
 
     monkeypatch.setattr(sweeps, "rate_for_config", counted_rate)
     out = tmp_path / "sweep.csv"
-    with pytest.raises(stop):
+    # The caller keeps the exception, and with it run_sweep's frame.
+    with pytest.raises(stop) as raised:
         run_sweep(grid, out, workers=workers, progress=stop_at_first)
     # Queued cells never ran (besides the recorded one, only cells
-    # already running when the sweep stopped); the recorded cell was
-    # flushed before the sweep stopped.
-    assert len(calls) < grid.n_cells() // 2
+    # already running when the sweep stopped), nor do they start once
+    # the sweep has returned; the recorded cell was flushed before the
+    # sweep stopped.
+    stopped = len(calls)
+    time.sleep(0.2)
+    assert len(calls) == stopped < grid.n_cells() // 2
     assert len(load_sweep_csv(out).rows) == 1
 
     calls.clear()

@@ -5,18 +5,22 @@ Groups:
     no symbol overlap (the neighbor average collapses).
  2. Exact tables with correlated samples, and the kernel's orthants of
     a correlated pair (alone or after an independent sample), against
-    an independent multivariate normal CDF reference.
+    an independent multivariate normal CDF reference; the kernel's row
+    blocks against one block.
  3. Structural invariants: sign symmetry (bitwise), row sums, refusals;
     literal exact tables, and the memo of their window sets.
  4. Monte Carlo: determinism across worker counts, the blocked chunk
     kernel against a single-pass reference, chunk reuse across sample
-    budgets, agreement with exact tables, error calibration.
+    budgets, agreement with exact tables, error calibration, queued
+    chunks cancelled by a failed one.
  5. Table utilities: group tables, read-only arrays.
  6. The kernel's normal CDFs: Phi against scipy's ``ndtr``, and Genz's
     bivariate CDF against scipy's, on both of its branches.
 """
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -130,6 +134,37 @@ def test_exact_table_correlated_matches_mvn_reference(m, span):
     table = enumerate_exact(ch)
     expect = _reference_table(ch)
     assert np.max(np.abs(table.probs - expect)) < 2e-5
+
+
+@pytest.mark.parametrize("alphabet, m, span, kernel_rows", [
+    ("4qam", 3, 9, 6400), ("16qam", 3, 5, 6400),
+    ("4qam", 4, 5, 7680), ("4qam", 4, 9, 76800)])
+def test_kernel_row_blocks_match_one_block(monkeypatch, alphabet, m, span,
+                                           kernel_rows):
+    # A small _KERNEL_ROWS makes _subset_orthants split the chunk's rows
+    # into blocks (100 rows of three samples, 3 or 30 of four), which
+    # must tile the rows and give the table of one block.
+    ch = _pinned_channel(alphabet, m, span, 10.0)
+    whole = enumerate_exact(ch).probs
+    kernel = transitions._subset_orthants
+    rows = []
+
+    def spy(means, chol):
+        rows.append(len(means))
+        return kernel(means, chol)
+
+    monkeypatch.setattr(transitions, "_subset_orthants", spy)
+    monkeypatch.setattr(transitions, "_KERNEL_ROWS", kernel_rows)
+    split = enumerate_exact(ch).probs
+    # One call for the chunk, then one per block.
+    assert len(rows) > 2 and sum(rows[1:]) == rows[0]
+    if m == 3:
+        assert np.array_equal(split, whole)
+    else:
+        # Four samples integrate through matrix products, whose sums may
+        # round differently in another block shape.
+        assert np.abs(split - whole).max() <= 1e-15
+        assert np.abs(split.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_exact_table_refuses_uncertified_quadrature(monkeypatch):
@@ -570,6 +605,31 @@ def test_mc_error_estimate_calibrated():
         stderr = max(stderr, float(np.max(se)))
     assert stderr > 0.0
     assert worst < 4.0 * stderr
+
+
+def test_failed_chunk_cancels_queued_chunks(monkeypatch):
+    # At two workers the third chunk raises; the chunks still queued
+    # never start, not even after mc_estimate has raised.
+    ch = _delta_channel("4qam", snr_db=4.0)
+    real = transitions._chunk_counts
+    calls = []
+    lock = threading.Lock()
+
+    def failing(*args):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise RuntimeError("chunk failed")
+        return real(*args)
+
+    monkeypatch.setattr(transitions, "_chunk_counts", failing)
+    # The caller keeps the exception, and with it mc_estimate's frame.
+    with pytest.raises(RuntimeError, match="chunk failed") as raised:
+        mc_estimate(ch, samples=200 * CHUNK_SAMPLES, seed=1, workers=2)
+    started = len(calls)
+    time.sleep(0.2)
+    assert len(calls) == started < 100
 
 
 def test_mc_rejects_bad_arguments():
